@@ -142,6 +142,22 @@ def _load_matrix(path: Path) -> tuple[AssessmentMatrix, float | None]:
     return _parse_matrix_doc(doc, path.name)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; where names the field in error messages."""
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{where}: expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{where}: number out of float range") from None
+
+
+def _file_alpha(doc: dict, name: str) -> float | None:
+    alpha = doc.get("alpha")
+    return None if alpha is None else _number(alpha, f'{name}: "alpha"')
+
+
 def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
     if isinstance(value, str):
         try:
@@ -149,9 +165,9 @@ def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
         except ValueError as err:
             raise InputError(f"{where}: {err}") from None
     if isinstance(value, list):
-        if len(value) != 5 or not all(isinstance(v, (int, float)) for v in value):
+        if len(value) != 5:
             raise InputError(f"{where}: a numeric shape needs exactly [a, b, c, d, w]")
-        return TrapezoidalFuzzyNumber(*(float(v) for v in value))
+        return TrapezoidalFuzzyNumber(*[_number(v, where) for v in value])
     raise InputError(f"{where}: expected a term name or [a, b, c, d, w], got {value!r}")
 
 
@@ -173,9 +189,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     sources = doc.get("sources")
     if not isinstance(sources, list) or not sources:
         raise InputError(f'{name}: "sources" must be a non-empty list')
-    alpha = doc.get("alpha")
-    if alpha is not None and not isinstance(alpha, (int, float)):
-        raise InputError(f'{name}: "alpha" must be a number')
+    alpha = _file_alpha(doc, name)
 
     frame = Frame(tuple(frame_labels))
     labels: list[str] = []
@@ -198,7 +212,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
         labels.append(label)
         rows.append(tuple(row))
     matrix = AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(rows))
-    return matrix, None if alpha is None else float(alpha)
+    return matrix, alpha
 
 
 def _load_csv_matrix(path: Path) -> AssessmentMatrix:
@@ -243,10 +257,7 @@ def _split_items(doc, name: str) -> tuple[list, float | None]:
     if isinstance(doc, list):
         return doc, None
     if isinstance(doc, dict) and isinstance(doc.get("items"), list):
-        alpha = doc.get("alpha")
-        if alpha is not None and not isinstance(alpha, (int, float)):
-            raise InputError(f'{name}: "alpha" must be a number')
-        return doc["items"], None if alpha is None else float(alpha)
+        return doc["items"], _file_alpha(doc, name)
     raise InputError(f'{name}: expected a list of items or an object with "items"')
 
 

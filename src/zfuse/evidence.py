@@ -75,6 +75,7 @@ class MassFunction:
 
     def __post_init__(self) -> None:
         cleaned: dict[int, float] = {}
+        theta = self.frame.theta
         for mask, value in self.masses.items():
             value = float(value)
             if value < 0.0:
@@ -83,7 +84,7 @@ class MassFunction:
                 continue
             if mask == 0:
                 raise ValueError("the empty set must carry no mass")
-            if not 0 < mask <= self.frame.theta:
+            if not 0 < mask <= theta:
                 raise ValueError(f"focal set {mask:#x} is outside the frame")
             cleaned[mask] = cleaned.get(mask, 0.0) + value
         if abs(math.fsum(cleaned.values()) - 1.0) > 1e-12:
@@ -168,6 +169,10 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     (identically 1 - k, but stable when k creeps toward 1), so the result
     does not depend on focal-set iteration order.  Raises
     TotalConflictError when k reaches 1 and nothing survives.
+
+    When every focal set of both operands is a singleton or the whole
+    frame, as in every BPA from bpa_from_similarities, a closed form costs
+    O(H) instead of O(F1 * F2) and gives the same masses.
     """
     if m1.frame != m2.frame:
         raise ValueError("cannot combine mass functions over different frames")
@@ -177,6 +182,18 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
         return CombinationOutcome(m2, 0.0, (0.0,))
     if m2.is_vacuous():
         return CombinationOutcome(m1, 0.0, (0.0,))
+    if _singletons_and_theta(m1) and _singletons_and_theta(m2):
+        return _combine_singletons(m1, m2)
+    return _combine_general(m1, m2)
+
+
+def _singletons_and_theta(m: MassFunction) -> bool:
+    theta = m.frame.theta
+    return all(mask == theta or not mask & (mask - 1) for mask in m.masses)
+
+
+def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
+    """Dempster's rule over every pair of focal sets, for any structure."""
     buckets: dict[int, list[float]] = {}
     conflict_parts: list[float] = []
     for s1, v1 in m1.masses.items():
@@ -187,15 +204,57 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
                 buckets.setdefault(inter, []).append(product)
             else:
                 conflict_parts.append(product)
-    k = math.fsum(conflict_parts)
+    totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
+    return _normalized(m1.frame, totals, math.fsum(conflict_parts))
+
+
+def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
+    """Dempster's rule when every focal set is a singleton or the frame.
+
+    A singleton h survives from (h, h), (h, frame) and (frame, h), the frame
+    from (frame, frame) alone, and every pair of distinct singletons
+    conflicts: k = s1 * s2 - sum over h of m1(h) * m2(h), with s1 and s2
+    the singleton totals.  That form of k is symmetric in the operands, so
+    the rule still commutes bit for bit.
+    """
+    theta = m1.frame.theta
+    a, b = m1.masses, m2.masses
+    t_a = a.get(theta, 0.0)
+    t_b = b.get(theta, 0.0)
+    fsum = math.fsum
+    totals: dict[int, float] = {}
+    singles_a: list[float] = []
+    singles_b: list[float] = []
+    conflict_parts: list[float] = []
+    for h, x in a.items():
+        if h == theta:
+            continue
+        singles_a.append(x)
+        y = b.get(h, 0.0)
+        totals[h] = fsum((x * y, x * t_b, t_a * y))
+        conflict_parts.append(-(x * y))
+    for h, y in b.items():
+        if h == theta:
+            continue
+        singles_b.append(y)
+        if h not in a:
+            totals[h] = t_a * y
+    totals[theta] = t_a * t_b
+    conflict_parts.append(fsum(singles_a) * fsum(singles_b))
+    # when the cross terms are below the rounding of s1 * s2, k can come
+    # out a hair below zero
+    k = max(0.0, fsum(conflict_parts))
+    return _normalized(m1.frame, totals, k)
+
+
+def _normalized(frame: Frame, totals: dict[int, float], k: float) -> CombinationOutcome:
     if k >= 1.0 - _TOTAL_CONFLICT_EPS:
         raise TotalConflictError(
             f"total conflict (k = {k}) between the two mass functions", left=0, right=1
         )
-    totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
     survived = math.fsum(totals.values())
     combined = {mask: value / survived for mask, value in totals.items()}
-    return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
+    return CombinationOutcome(MassFunction(frame, combined), k, (k,))
 
 
 def combine_all(masses: Sequence[MassFunction]) -> CombinationOutcome:
@@ -203,6 +262,12 @@ def combine_all(masses: Sequence[MassFunction]) -> CombinationOutcome:
 
     A single input comes back unchanged with zero conflict.  On total
     conflict the error names which input clashed with the running fold.
+
+    The frame's mass shrinks by the product of every input's frame mass, so
+    it underflows on long folds: on random numeric grids the fused frame
+    mass is about 1e-44 at 200 sources x 20 hypotheses, 1e-191 at 1000 x 5,
+    and 0.0 at 2000 x 5.  Once it reaches 0 it is dropped as a focal set;
+    the fold goes on over singletons alone, still on the closed-form step.
     """
     if not masses:
         raise ValueError("need at least one mass function to combine")

@@ -7,8 +7,10 @@ Any segment may have zero width, down to a point number a = b = c = d.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
+
+_INV_SQRT12 = 1.0 / math.sqrt(12.0)
 
 
 @dataclass(frozen=True)
@@ -22,6 +24,10 @@ class TrapezoidalFuzzyNumber:
     w: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c", "d", "w"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"fuzzy number values must be finite, got {name} = {value}")
         if not (self.a <= self.b <= self.c <= self.d):
             raise ValueError(
                 "vertices must satisfy a <= b <= c <= d, got "
@@ -71,32 +77,43 @@ def membership(f: TrapezoidalFuzzyNumber, x: float) -> float:
 def centroid(f: TrapezoidalFuzzyNumber) -> float:
     """Defuzzified value: abscissa of the area centroid of the membership.
 
-    Closed-form piecewise integration; zero-width segments contribute
-    nothing.  The height cancels, so the result is independent of w.  A
-    point number has no area and defuzzifies to its single vertex.
+    The mean of the three segment centroids, each weighted by its share of
+    the area; zero-width segments get zero weight.  The height cancels, so
+    the result is independent of w.  A point number has no area and
+    defuzzifies to its single vertex.  The result is finite and lies in
+    [a, d] for every finite shape.
     """
-    if f.is_point():
+    # Work at half scale: halving is exact for normal floats, and keeps every
+    # width, area and centre below the float maximum for any finite vertices.
+    a, b, c, d = 0.5 * f.a, 0.5 * f.b, 0.5 * f.c, 0.5 * f.d
+    rise = b - a
+    fall = d - c
+    left = 0.5 * rise
+    plateau = c - b
+    right = 0.5 * fall
+    area = left + plateau + right
+    if area == 0.0:
+        # a point number, or a support too narrow to resolve at half scale
         return f.a
-    area = 0.0
-    moment = 0.0
-    if f.b > f.a:
-        piece = (f.b - f.a) / 2.0
-        area += piece
-        moment += piece * (f.a + 2.0 * f.b) / 3.0
-    if f.c > f.b:
-        piece = f.c - f.b
-        area += piece
-        moment += piece * (f.b + f.c) / 2.0
-    if f.d > f.c:
-        piece = (f.d - f.c) / 2.0
-        area += piece
-        moment += piece * (2.0 * f.c + f.d) / 3.0
-    return moment / area
+    x = (
+        left / area * (b - rise / 3.0)
+        + plateau / area * (b + 0.5 * plateau)
+        + right / area * (c + fall / 3.0)
+    )
+    # the weights sum to 1 only up to rounding
+    return min(max(2.0 * x, f.a), f.d)
 
 
 def spread(f: TrapezoidalFuzzyNumber) -> float:
-    """Sample standard deviation of the four vertices (divisor 3)."""
-    return statistics.stdev(f.vertices)
+    """Sample standard deviation of the four vertices (divisor 3).
+
+    Uses var = sum(gap**2) / 12 over the six pairwise gaps.  The gaps of
+    sorted vertices are nonnegative, so nothing cancels, and hypot sums
+    their squares without overflow or underflow; only a gap wider than the
+    float range gives inf.
+    """
+    a, b, c, d = f.a, f.b, f.c, f.d
+    return math.hypot(b - a, c - a, d - a, c - b, d - b, d - c) * _INV_SQRT12
 
 
 def score_factors(f: TrapezoidalFuzzyNumber) -> ScoreFactors:

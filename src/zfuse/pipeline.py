@@ -41,6 +41,11 @@ class AssessmentMatrix:
             raise ValueError("a decision needs at least two hypotheses")
         if not self.sources:
             raise ValueError("a decision needs at least one source")
+        seen: set[str] = set()
+        for label in self.sources:
+            if label in seen:
+                raise ValueError(f"source names must be distinct, got {label!r} twice")
+            seen.add(label)
         if len(self.cells) != len(self.sources):
             raise ValueError(
                 f"got {len(self.cells)} rows for {len(self.sources)} sources"

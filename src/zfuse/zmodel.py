@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fuzzy import TrapezoidalFuzzyNumber, score_factors
+from .fuzzy import TrapezoidalFuzzyNumber, centroid, spread
 from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
 
 
@@ -69,8 +69,8 @@ def ranking_score(f: TrapezoidalFuzzyNumber, weights: WeightVector | None = None
         weights = mem_weights(3, DEFAULT_ALPHA)
     if len(weights) != 3:
         raise ValueError(f"ranking needs a length-3 weight vector, got {len(weights)}")
-    sf = score_factors(f)
-    return weights[0] * sf.x + weights[1] * sf.h + weights[2] * sf.compact
+    w0, w1, w2 = weights
+    return w0 * centroid(f) + w1 * f.w + w2 / (1.0 + spread(f))
 
 
 def rank_fuzzy(
@@ -154,8 +154,13 @@ def score_znumber(
     w1, w2 = component_weights
     h_a = ranking_score(z.A, refs.score_weights)
     h_b = ranking_score(z.B, refs.score_weights)
-    num = w1 * (h_a - refs.hmax) ** 2 + w2 * (h_b - refs.hmax) ** 2
-    den = w1 * (refs.hmin - refs.hmax) ** 2 + w2 * (refs.hmin - refs.hmax) ** 2
+    # products, not ** 2: a far-off shape overflows to inf instead of raising,
+    # and a zero weight times that gap stays 0
+    d_a = h_a - refs.hmax
+    d_b = h_b - refs.hmax
+    d_ref = refs.hmin - refs.hmax
+    num = w1 * d_a * d_a + w2 * d_b * d_b
+    den = w1 * d_ref * d_ref + w2 * d_ref * d_ref
     dev = math.sqrt(num / den)
     clamped = dev > 1.0
     if clamped:

@@ -1,6 +1,7 @@
 """Command-line interface: modes, formats, input handling, exit codes."""
 
 import json
+import math
 import time
 from importlib.resources import files
 
@@ -18,6 +19,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def grid(cell=None):
+    """A one-source grid over hypotheses a and b; cell overrides S/a."""
+    a = {"A": "Low", "B": "High"}
+    a.update(cell or {})
+    return {
+        "frame": ["a", "b"],
+        "sources": [{"name": "S", "assessments": {"a": a, "b": {"A": "Medium", "B": "High"}}}],
+    }
+
+
+def finite_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-finite number {constant} in output")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestDecideMode:
@@ -63,6 +81,19 @@ class TestDecideMode:
         }
         _, table, _ = run(capsys, "decide", "--input", MEDICAL, "--precision", "6")
         assert f"{fused[('Common-cold',)]:.6f}" in table
+
+    def test_vertices_far_outside_the_unit_interval(self, tmp_path, capsys):
+        # one huge spread, one huge centroid
+        doc = grid({"A": [-1e200, 0.0, 0.0, 1e200, 1.0]})
+        far = grid({"A": [1e200, 1e200, 1e200, 1e200, 1.0]})["sources"][0]
+        far["name"] = "T"
+        doc["sources"].append(far)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "decide", "--input", str(path), "--format", "json")
+        assert code == EXIT_OK, err
+        doc = finite_json(out)
+        assert math.fsum(item["mass"] for item in doc["fused"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_fixture_run_is_fast(self, capsys):
         start = time.monotonic()
@@ -269,6 +300,49 @@ class TestFailureModes:
         assert code == EXIT_CONFLICT
         assert out == ""
         assert "totally conflict" in err
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_vertex(self, tmp_path, capsys, bad):
+        path = tmp_path / "doc.json"
+        text = json.dumps(grid({"A": [0.0, 0.1, 0.2, "BAD", 1.0]}))
+        path.write_text(text.replace('"BAD"', bad))
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "must be finite, got d = " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, "0.5", None, 10**400], ids=["true", "false", "string", "null", "huge-int"]
+    )
+    def test_shape_entries_must_be_numbers(self, tmp_path, capsys, bad):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(grid({"A": [bad, 0.0, 0.0, 1.0, 1.0]})))
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "S/a.A" in err
+
+    @pytest.mark.parametrize("mode", ["decide", "rank-fuzzy"])
+    def test_boolean_alpha(self, tmp_path, capsys, mode):
+        doc = grid() if mode == "decide" else {"items": ["Low", "High"]}
+        doc["alpha"] = True
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, mode, "--input", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert '"alpha": expected a number, got true' in err
+
+    def test_duplicate_source_names(self, tmp_path, capsys):
+        doc = grid()
+        doc["sources"].append(doc["sources"][0])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "source names must be distinct, got 'S' twice" in err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

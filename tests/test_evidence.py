@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from zfuse import evidence
 from zfuse.evidence import (
     CombinationOutcome,
     Frame,
     MassFunction,
     TotalConflictError,
     bpa_from_similarities,
+    _combine_general,
     combine_all,
     dempster_combine,
 )
@@ -254,3 +256,64 @@ class TestCombineAll:
             combine_all([m1, m2, m3])
         assert err.value.left == 1
         assert err.value.right == 2
+
+
+def singleton_bpa(rng, frame, peaked):
+    """Random mass on one or more singletons plus the whole frame.
+
+    A peaked BPA puts almost everything on one hypothesis, so two peaked
+    BPAs that disagree conflict with k close to 1.
+    """
+    if peaked:
+        masses = {1 << rng.randrange(len(frame)): 1.0, frame.theta: rng.uniform(1e-4, 1e-3)}
+    else:
+        focal = rng.sample(range(len(frame)), rng.randint(1, len(frame)))
+        masses = {1 << i: rng.random() for i in focal}
+        masses[frame.theta] = rng.uniform(0.01, 1.0)
+    total = math.fsum(masses.values())
+    return MassFunction(frame, {mask: v / total for mask, v in masses.items()})
+
+
+class TestSingletonFastPath:
+    """The closed-form step for singletons-plus-frame BPAs, against the
+    general bitmask rule it replaces on that structure."""
+
+    def test_folds_match_the_general_rule(self, monkeypatch):
+        rng = random.Random(2024)
+        max_k = 0.0
+        for _ in range(30):
+            size = rng.randint(2, 50)
+            frame = Frame(tuple("h%d" % i for i in range(size)))
+            peaked = rng.random() < 0.5
+            ms = [singleton_bpa(rng, frame, peaked) for _ in range(rng.randint(2, 200))]
+            acc = ms[0]
+            for m in ms[1:]:
+                expected = _combine_general(acc, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(evidence, "_combine_general", None)
+                    got = dempster_combine(acc, m)
+                    swapped = dempster_combine(m, acc)
+                assert got.combined == expected.combined
+                assert got.conflict == pytest.approx(expected.conflict, abs=1e-15)
+                assert 0.0 <= got.conflict < 1.0
+                assert swapped.combined == got.combined
+                assert swapped.conflict == got.conflict
+                max_k = max(max_k, got.conflict)
+                acc = got.combined
+        assert max_k > 0.999
+
+    def test_negligible_cross_terms_give_no_negative_conflict(self):
+        m = MassFunction(ABC, {0b001: 0.6, 0b010: 1e-17, 0b111: 0.4 - 1e-17})
+        out = dempster_combine(m, m)
+        assert out.conflict == pytest.approx(_combine_general(m, m).conflict, abs=1e-15)
+        assert out.conflict >= 0.0
+
+    def test_mixed_structure_takes_the_general_path(self, monkeypatch):
+        m1 = MassFunction.from_items(ABC, {"A": 0.5, "B": 0.3, ("A", "B", "C"): 0.2})
+        m2 = MassFunction.from_items(ABC, {("A", "B"): 0.6, "C": 0.1, ("A", "B", "C"): 0.3})
+        monkeypatch.setattr(evidence, "_combine_singletons", None)
+        out = dempster_combine(m1, m2)
+        expected, conflict = reference_combine(m1, m2)
+        assert out.conflict == pytest.approx(conflict, abs=1e-12)
+        got = {frozenset(labels): v for labels, v in out.combined.focal_items()}
+        assert got == pytest.approx(expected, abs=1e-12)

@@ -1,6 +1,8 @@
 """Trapezoidal fuzzy numbers: validation, membership, centroid, spread."""
 
 import math
+import random
+import statistics
 
 import pytest
 from hypothesis import given, assume, settings
@@ -71,6 +73,14 @@ class TestValidation:
         TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.12)
         TrapezoidalFuzzyNumber(0.2, 0.2, 0.2, 0.2)
         TrapezoidalFuzzyNumber(0.1, 0.3, 0.3, 0.5)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d", "w"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        values = dict(a=0.1, b=0.2, c=0.3, d=0.4, w=1.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"finite, got {field} = {bad}"):
+            TrapezoidalFuzzyNumber(**values)
 
     def test_point_number_detection(self):
         assert TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0).is_point()
@@ -144,6 +154,33 @@ class TestCentroid:
         scale = max(1.0, abs(f.a), abs(f.d))
         assert centroid(f) == pytest.approx(quadrature_centroid(f), abs=1e-9 * scale)
 
+    def test_subnormal_products_stay_inside_support(self):
+        # the segment moments underflow to 0 here; the centroid must not
+        f = TrapezoidalFuzzyNumber(3.18e-283, 2.35e-230, 2.35e-230, 2.35e-230)
+        assert f.a <= centroid(f) <= f.d
+        assert centroid(f) == pytest.approx((f.a + 2.0 * f.b) / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            (0.0, 0.0, 0.0, 1e308),
+            (-1e308, 0.0, 0.0, 1e308),
+            (-1e200, 0.0, 0.0, 1e200),
+            (1.7e308, 1.75e308, 1.79e308, 1.797e308),
+            (-1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308),
+            (0.0, 5e-324, 5e-324, 5e-324),
+        ],
+    )
+    def test_finite_inside_support_at_the_float_limits(self, vertices):
+        f = TrapezoidalFuzzyNumber(*vertices)
+        x = centroid(f)
+        assert math.isfinite(x)
+        assert f.a <= x <= f.d
+
+    def test_huge_right_ramp(self):
+        f = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 1e308)
+        assert centroid(f) == pytest.approx(1e308 / 3.0, rel=1e-15)
+
     @given(trapezoids())
     def test_stays_inside_support(self, f):
         assert f.a <= centroid(f) <= f.d
@@ -167,6 +204,22 @@ class TestSpread:
         assert spread(very_high) == pytest.approx(0.03304038, abs=1e-6)
         low = TrapezoidalFuzzyNumber(0.04, 0.1, 0.18, 0.23)
         assert spread(low) == pytest.approx(0.0842121, abs=1e-6)
+
+    def test_matches_exact_stdev(self):
+        # statistics.stdev works in exact fractions: the reference the float
+        # kernel replaced
+        rng = random.Random(2017)
+        for _ in range(2000):
+            scale = 10.0 ** rng.randint(-6, 6)
+            vs = sorted(rng.uniform(-scale, scale) for _ in range(4))
+            f = TrapezoidalFuzzyNumber(*vs)
+            assert spread(f) == pytest.approx(statistics.stdev(vs), rel=1e-12)
+
+    def test_wide_spreads_do_not_raise(self):
+        assert spread(TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 1e308)) == pytest.approx(5e307)
+        assert spread(TrapezoidalFuzzyNumber(-1e200, 0.0, 0.0, 1e200)) == pytest.approx(
+            math.sqrt(2.0 / 3.0) * 1e200
+        )
 
     @given(trapezoids())
     def test_agrees_with_direct_formula(self, f):

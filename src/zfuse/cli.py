@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Modes: decide (full fusion report), bpa (per-source assignments only),
-rank-fuzzy, rank-z, and weights.  Output goes to stdout as a table or as
-JSON; identical input and options give byte-identical output.  Exit codes:
+rank-fuzzy, rank-z, and weights.  Each mode builds one report, which goes
+to stdout as JSON or as a table read off it; identical input and options
+give byte-identical output.  Exit codes:
 0 ok, 2 unreadable or malformed input, 3 a validated invariant was broken,
 4 total conflict between sources.
 """
@@ -13,14 +14,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
 from .owa import DEFAULT_ALPHA, dispersion, mem_weights, orness
-from .pipeline import AssessmentMatrix, DecisionReport, decide, source_bpas
-from .zmodel import ReferenceBounds, ZNumber, linguistic_term, rank_fuzzy, ranking_score, score_znumber
+from .pipeline import AssessmentMatrix, decide, source_bpas
+from .zmodel import ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -32,16 +32,6 @@ MODES = ("decide", "bpa", "rank-fuzzy", "rank-z", "weights")
 
 class InputError(Exception):
     """The input file does not match the expected shape."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    input: Path | None
-    alpha: float | None = None
-    fmt: str = "table"
-    precision: int = 4
-    n: int | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,22 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        mode=args.mode,
-        input=getattr(args, "input", None),
-        alpha=args.alpha,
-        fmt=args.fmt,
-        precision=args.precision,
-        n=getattr(args, "n", None),
-    )
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one mode; print the full report only after it succeeded."""
     try:
-        text = _dispatch(cfg)
+        text = _text(args)
     except InputError as err:
         print(f"zfuse: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -95,34 +76,26 @@ def run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _dispatch(cfg: RunConfig) -> str:
-    if not 1 <= cfg.precision <= 12:
-        raise ValueError(f"precision must lie in 1..12, got {cfg.precision}")
-    if cfg.alpha is not None and not 0.0 <= cfg.alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {cfg.alpha}")
-    if cfg.mode == "weights":
-        return _run_weights(cfg)
-    if cfg.mode in ("decide", "bpa"):
-        matrix, file_alpha = _load_matrix(cfg.input)
-        alpha = _resolve_alpha(cfg.alpha, file_alpha)
-        if cfg.mode == "decide":
-            return _render_decide(decide(matrix, alpha), cfg)
-        return _render_bpa(matrix, source_bpas(matrix, alpha), alpha, cfg)
-    doc = _load_json(cfg.input)
-    items, file_alpha = _split_items(doc, cfg.input.name)
-    alpha = _resolve_alpha(cfg.alpha, file_alpha)
-    if cfg.mode == "rank-fuzzy":
-        return _run_rank_fuzzy(items, alpha, cfg)
-    return _run_rank_z(items, alpha, cfg)
+def _text(args: argparse.Namespace) -> str:
+    """Build the mode's report, then dump it as JSON or read the table off it.
 
-
-def _resolve_alpha(cli_alpha: float | None, file_alpha: float | None) -> float:
-    alpha = cli_alpha if cli_alpha is not None else file_alpha
-    if alpha is None:
-        return DEFAULT_ALPHA
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+    alpha is range-checked by mem_weights, which every mode reaches, so any
+    other fault in the input is reported before an out-of-range alpha.
+    """
+    if not 1 <= args.precision <= 12:
+        raise ValueError(f"precision must lie in 1..12, got {args.precision}")
+    if args.mode == "weights":
+        data, file_alpha = args.n, None
+    elif args.mode in ("decide", "bpa"):
+        data, file_alpha = _load_matrix(args.input)
+    else:
+        data, file_alpha = _split_items(_load_json(args.input), args.input.name)
+    alpha = args.alpha if args.alpha is not None else file_alpha
+    build, table = _MODES[args.mode]
+    report = build(data, DEFAULT_ALPHA if alpha is None else alpha)
+    if args.fmt == "json":
+        return json.dumps(report, indent=2)
+    return "\n".join(table(report, f".{args.precision}f"))
 
 
 # ---------------------------------------------------------------- parsing
@@ -261,193 +234,163 @@ def _split_items(doc, name: str) -> tuple[list, float | None]:
     raise InputError(f'{name}: expected a list of items or an object with "items"')
 
 
-# -------------------------------------------------------------- rendering
-
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
-def _align(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])]
-        cells += [row[i].rjust(widths[i]) for i in range(1, len(row))]
-        lines.append("  ".join(cells).rstrip())
-    return lines
-
-
-def _shape_text(f: TrapezoidalFuzzyNumber, precision: int) -> str:
-    body = ", ".join(_fmt(v, precision) for v in f.vertices)
-    return f"({body}; {_fmt(f.w, precision)})"
-
+# ------------------------------------------------------ reports and tables
 
 def _mass_items(m: MassFunction) -> list[dict]:
-    return [{"focal": list(labels), "mass": value} for labels, value in m.focal_items()]
+    # focal stays a tuple of labels, which json prints as a list
+    return [{"focal": labels, "mass": value} for labels, value in m.focal_items()]
 
 
-def _bpa_rows(frame: Frame, label: str, bpa: MassFunction, precision: int) -> list[str]:
-    singles = bpa.singleton_masses()
-    return (
-        [label]
-        + [_fmt(singles[h], precision) for h in frame.hypotheses]
-        + [_fmt(bpa.theta_mass(), precision)]
-    )
+def _grid_report(mode: str, matrix: AssessmentMatrix, alpha: float, bpas, weights: dict, outcome: dict) -> dict:
+    """Per-source BPAs; decide adds its weights before them and its outcome after."""
+    return {
+        "mode": mode,
+        "alpha": alpha,
+        "frame": list(matrix.frame.hypotheses),
+        "sources": list(matrix.sources),
+        **weights,
+        "bpas": [{"source": label, "masses": _mass_items(bpa)} for label, bpa in zip(matrix.sources, bpas)],
+        **outcome,
+    }
 
 
-def _config_lines(alpha: float, precision: int) -> list[str]:
-    w3 = mem_weights(3, alpha)
-    w2 = mem_weights(2, alpha)
-    return [
-        f"alpha: {alpha:g}",
-        "score weights: " + "  ".join(_fmt(w, precision) for w in w3),
-        "component weights: " + "  ".join(_fmt(w, precision) for w in w2),
-        "",
-    ]
+def _rank_report(mode: str, alpha: float, scores: list[float], entries: list[dict]) -> dict:
+    """entries[i] describes item i; they are listed best score first."""
+    ranking = [{"rank": pos + 1, "index": i, **entries[i]} for pos, i in enumerate(best_first(scores))]
+    return {"mode": mode, "alpha": alpha, "ranking": ranking}
 
 
-def _render_decide(report: DecisionReport, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
-        payload = {
-            "mode": "decide",
-            "alpha": report.alpha,
-            "frame": list(report.frame.hypotheses),
-            "sources": list(report.sources),
-            "score_weights": list(report.score_weights),
-            "component_weights": list(report.component_weights),
-            "bpas": [
-                {"source": label, "masses": _mass_items(bpa)}
-                for label, bpa in zip(report.sources, report.per_source_bpas)
-            ],
-            "conflict_trace": list(report.conflict_trace),
-            "fused": _mass_items(report.fused),
-            "ranking": list(report.ranking),
-            "decision": report.decision,
-        }
-        return json.dumps(payload, indent=2)
-    p = cfg.precision
-    table = [["source"] + list(report.frame.hypotheses) + ["Theta"]]
-    for label, bpa in zip(report.sources, report.per_source_bpas):
-        table.append(_bpa_rows(report.frame, label, bpa, p))
-    table.append(_bpa_rows(report.frame, "fused", report.fused, p))
-    lines = _config_lines(report.alpha, p) + _align(table)
-    lines.append("")
-    lines.append("conflict trace: " + "  ".join(_fmt(k, p) for k in report.conflict_trace))
-    lines.append("ranking: " + " > ".join(report.ranking))
-    lines.append("decision: " + report.decision)
-    return "\n".join(lines)
+def _bpa_report(matrix: AssessmentMatrix, alpha: float) -> dict:
+    return _grid_report("bpa", matrix, alpha, source_bpas(matrix, alpha), {}, {})
 
 
-def _render_bpa(
-    matrix: AssessmentMatrix,
-    bpas: tuple[MassFunction, ...],
-    alpha: float,
-    cfg: RunConfig,
-) -> str:
-    if cfg.fmt == "json":
-        payload = {
-            "mode": "bpa",
-            "alpha": alpha,
-            "frame": list(matrix.frame.hypotheses),
-            "sources": list(matrix.sources),
-            "bpas": [
-                {"source": label, "masses": _mass_items(bpa)}
-                for label, bpa in zip(matrix.sources, bpas)
-            ],
-        }
-        return json.dumps(payload, indent=2)
-    p = cfg.precision
-    table = [["source"] + list(matrix.frame.hypotheses) + ["Theta"]]
-    for label, bpa in zip(matrix.sources, bpas):
-        table.append(_bpa_rows(matrix.frame, label, bpa, p))
-    return "\n".join(_config_lines(alpha, p) + _align(table))
+def _decide_report(matrix: AssessmentMatrix, alpha: float) -> dict:
+    report = decide(matrix, alpha)
+    weights = {"score_weights": list(report.score_weights), "component_weights": list(report.component_weights)}
+    outcome = {
+        "conflict_trace": list(report.conflict_trace),
+        "fused": _mass_items(report.fused),
+        "ranking": list(report.ranking),
+        "decision": report.decision,
+    }
+    return _grid_report("decide", matrix, alpha, report.per_source_bpas, weights, outcome)
 
 
-def _run_rank_fuzzy(items: list, alpha: float, cfg: RunConfig) -> str:
+def _rank_fuzzy_report(items: list, alpha: float) -> dict:
     shapes = [_parse_shape(item, f"items[{k}]") for k, item in enumerate(items)]
     weights = mem_weights(3, alpha)
-    order = rank_fuzzy(shapes, weights)
     scores = [ranking_score(f, weights) for f in shapes]
-    if cfg.fmt == "json":
-        payload = {
-            "mode": "rank-fuzzy",
-            "alpha": alpha,
-            "ranking": [
-                {
-                    "rank": pos + 1,
-                    "index": i,
-                    "score": scores[i],
-                    "shape": [shapes[i].a, shapes[i].b, shapes[i].c, shapes[i].d, shapes[i].w],
-                }
-                for pos, i in enumerate(order)
-            ],
-        }
-        return json.dumps(payload, indent=2)
-    p = cfg.precision
-    table = [["rank", "index", "score", "shape"]]
-    for pos, i in enumerate(order):
-        table.append([str(pos + 1), str(i), _fmt(scores[i], p), _shape_text(shapes[i], p)])
-    return "\n".join([f"alpha: {alpha:g}", ""] + _align(table))
+    entries = [{"score": score, "shape": [f.a, f.b, f.c, f.d, f.w]} for f, score in zip(shapes, scores)]
+    return _rank_report("rank-fuzzy", alpha, scores, entries)
 
 
-def _run_rank_z(items: list, alpha: float, cfg: RunConfig) -> str:
+def _rank_z_report(items: list, alpha: float) -> dict:
     znumbers = [_parse_cell(item, f"items[{k}]") for k, item in enumerate(items)]
-    if not znumbers:
-        raise ValueError("nothing to rank")
     weights = mem_weights(2, alpha)
     refs = ReferenceBounds.from_alpha(alpha)
     scored = [score_znumber(z, weights, refs) for z in znumbers]
-    order = sorted(range(len(scored)), key=lambda i: -scored[i].similarity)
-    if cfg.fmt == "json":
-        payload = {
-            "mode": "rank-z",
-            "alpha": alpha,
-            "ranking": [
-                {
-                    "rank": pos + 1,
-                    "index": i,
-                    "similarity": scored[i].similarity,
-                    "deviation": scored[i].deviation,
-                    "hA": scored[i].hA,
-                    "hB": scored[i].hB,
-                    "clamped": scored[i].clamped,
-                }
-                for pos, i in enumerate(order)
-            ],
-        }
-        return json.dumps(payload, indent=2)
-    p = cfg.precision
-    table = [["rank", "index", "similarity", "deviation", "clamped"]]
-    for pos, i in enumerate(order):
-        s = scored[i]
-        table.append(
-            [str(pos + 1), str(i), _fmt(s.similarity, p), _fmt(s.deviation, p), "yes" if s.clamped else "no"]
-        )
-    return "\n".join([f"alpha: {alpha:g}", ""] + _align(table))
-
-
-def _run_weights(cfg: RunConfig) -> str:
-    alpha = cfg.alpha if cfg.alpha is not None else DEFAULT_ALPHA
-    vector = mem_weights(cfg.n, alpha)
-    if cfg.fmt == "json":
-        payload = {
-            "mode": "weights",
-            "n": vector.n,
-            "alpha": alpha,
-            "weights": list(vector),
-            "orness": orness(vector),
-            "dispersion": dispersion(vector),
-        }
-        return json.dumps(payload, indent=2)
-    p = cfg.precision
-    lines = [
-        f"n: {vector.n}",
-        f"alpha: {alpha:g}",
-        "weights: " + "  ".join(_fmt(w, p) for w in vector),
-        f"orness: {_fmt(orness(vector), p)}",
-        f"dispersion: {_fmt(dispersion(vector), p)}",
+    entries = [
+        {"similarity": s.similarity, "deviation": s.deviation, "hA": s.hA, "hB": s.hB, "clamped": s.clamped}
+        for s in scored
     ]
-    return "\n".join(lines)
+    return _rank_report("rank-z", alpha, [s.similarity for s in scored], entries)
+
+
+def _weights_report(n: int, alpha: float) -> dict:
+    vector = mem_weights(n, alpha)
+    return {
+        "mode": "weights",
+        "n": vector.n,
+        "alpha": alpha,
+        "weights": list(vector),
+        "orness": orness(vector),
+        "dispersion": dispersion(vector),
+    }
+
+
+def _fmt_all(values, spec: str) -> str:
+    return "  ".join(format(v, spec) for v in values)
+
+
+def _align(rows: list[list[str]]) -> list[str]:
+    """The first column left-aligned, the others right-aligned."""
+    first, *widths = [max(map(len, column)) for column in zip(*rows)]
+    return [
+        "  ".join([row[0].ljust(first)] + [cell.rjust(w) for cell, w in zip(row[1:], widths)]).rstrip()
+        for row in rows
+    ]
+
+
+def _grid_table(report: dict, spec: str) -> list[str]:
+    alpha = report["alpha"]
+    frame = report["frame"]
+    rows = [(entry["source"], entry["masses"]) for entry in report["bpas"]]
+    tail = []
+    if "fused" in report:
+        rows.append(("fused", report["fused"]))
+        tail = [
+            "",
+            "conflict trace: " + _fmt_all(report["conflict_trace"], spec),
+            "ranking: " + " > ".join(report["ranking"]),
+            "decision: " + report["decision"],
+        ]
+    # one column per singleton, then the whole frame
+    columns = [(h,) for h in frame] + [tuple(frame)]
+    table = [["source", *frame, "Theta"]]
+    for label, masses in rows:
+        mass = {item["focal"]: item["mass"] for item in masses}
+        table.append([label] + [format(mass.get(focal, 0.0), spec) for focal in columns])
+    head = [
+        f"alpha: {alpha:g}",
+        "score weights: " + _fmt_all(mem_weights(3, alpha), spec),
+        "component weights: " + _fmt_all(mem_weights(2, alpha), spec),
+        "",
+    ]
+    return head + _align(table) + tail
+
+
+def _cell_text(value, spec: str) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, spec)
+    *vertices, height = value  # a shape [a, b, c, d, w]
+    return f"({', '.join(format(v, spec) for v in vertices)}; {format(height, spec)})"
+
+
+_RANK_COLUMNS = {
+    "rank-fuzzy": ("rank", "index", "score", "shape"),
+    "rank-z": ("rank", "index", "similarity", "deviation", "clamped"),
+}
+
+
+def _rank_table(report: dict, spec: str) -> list[str]:
+    columns = _RANK_COLUMNS[report["mode"]]
+    table = [list(columns)]
+    table += [[_cell_text(entry[c], spec) for c in columns] for entry in report["ranking"]]
+    return [f"alpha: {report['alpha']:g}", ""] + _align(table)
+
+
+def _weights_table(report: dict, spec: str) -> list[str]:
+    return [
+        f"n: {report['n']}",
+        f"alpha: {report['alpha']:g}",
+        "weights: " + _fmt_all(report["weights"], spec),
+        "orness: " + format(report["orness"], spec),
+        "dispersion: " + format(report["dispersion"], spec),
+    ]
+
+
+# mode: (report builder, table reader)
+_MODES = {
+    "decide": (_decide_report, _grid_table),
+    "bpa": (_bpa_report, _grid_table),
+    "rank-fuzzy": (_rank_fuzzy_report, _rank_table),
+    "rank-z": (_rank_z_report, _rank_table),
+    "weights": (_weights_report, _weights_table),
+}
 
 
 if __name__ == "__main__":

@@ -59,7 +59,21 @@ class Frame:
         return mask
 
     def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(h for i, h in enumerate(self.hypotheses) if mask >> i & 1)
+        """The hypotheses in mask, in frame order; bits beyond the frame are ignored."""
+        hypotheses = self.hypotheses
+        if mask < 0 or mask >> len(hypotheses):  # bits beyond the frame
+            mask &= self.theta
+        if mask.bit_count() == 1:  # a singleton, the commonest focal set
+            return (hypotheses[mask.bit_length() - 1],)
+        # visit the set bits only, highest first: testing all H bits would
+        # make focal_items O(H^2)
+        out = []
+        while mask:
+            i = mask.bit_length() - 1
+            out.append(hypotheses[i])
+            mask ^= 1 << i
+        out.reverse()
+        return tuple(out)
 
 
 @dataclass(frozen=True)

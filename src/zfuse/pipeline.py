@@ -18,7 +18,7 @@ from .evidence import (
 )
 from .fuzzy import TrapezoidalFuzzyNumber
 from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
-from .zmodel import ReferenceBounds, ZNumber, similarity
+from .zmodel import ReferenceBounds, ZNumber, best_first, similarity
 
 _FULL_RELIABILITY = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
 
@@ -118,8 +118,7 @@ def decide(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> DecisionRe
     try:
         outcome = combine_all(bpas)
     except TotalConflictError as err:
-        left = matrix.sources[err.left] if isinstance(err.left, int) else err.left
-        right = matrix.sources[err.right] if isinstance(err.right, int) else err.right
+        left, right = matrix.sources[err.left], matrix.sources[err.right]
         raise TotalConflictError(
             f"assessments of {right!r} totally conflict with those of {left!r}"
             " (folded together with any earlier sources)",
@@ -129,8 +128,8 @@ def decide(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> DecisionRe
 
     fused = outcome.combined
     singles = fused.singleton_masses()
-    order = sorted(range(len(matrix.frame)), key=lambda j: -singles[matrix.frame.hypotheses[j]])
-    ranking = tuple(matrix.frame.hypotheses[j] for j in order)
+    hypotheses = matrix.frame.hypotheses
+    ranking = tuple(hypotheses[j] for j in best_first([singles[h] for h in hypotheses]))
     return DecisionReport(
         frame=matrix.frame,
         sources=matrix.sources,

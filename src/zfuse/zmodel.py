@@ -73,15 +73,19 @@ def ranking_score(f: TrapezoidalFuzzyNumber, weights: WeightVector | None = None
     return w0 * centroid(f) + w1 * f.w + w2 / (1.0 + spread(f))
 
 
+def best_first(scores: Sequence[float]) -> list[int]:
+    """Indices of scores, highest score first; ties keep input order."""
+    if not scores:
+        raise ValueError("nothing to rank")
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
+
+
 def rank_fuzzy(
     numbers: Sequence[TrapezoidalFuzzyNumber],
     weights: WeightVector | None = None,
 ) -> list[int]:
     """Indices of numbers ordered best first; ties keep input order."""
-    if not numbers:
-        raise ValueError("nothing to rank")
-    scores = [ranking_score(f, weights) for f in numbers]
-    return sorted(range(len(numbers)), key=lambda i: -scores[i])
+    return best_first([ranking_score(f, weights) for f in numbers])
 
 
 _IDEAL = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
@@ -104,11 +108,20 @@ class ReferenceBounds:
 
     @classmethod
     def from_weights(cls, score_weights: WeightVector) -> "ReferenceBounds":
+        # the ideal and anti-ideal differ only in the centroid factor, so they
+        # score alike when its weight is 0: alpha 0 and alpha up to about 5e-9
+        hmax = ranking_score(_IDEAL, score_weights)
+        hmin = ranking_score(_WORST, score_weights)
+        if hmax == hmin:
+            raise ValueError(
+                f"score weights for alpha {score_weights.alpha} put no weight on the centroid, "
+                "so the ideal and anti-ideal score alike and deviation is undefined"
+            )
         return cls(
             zmax=ZNumber(_IDEAL, _IDEAL),
             zmin=ZNumber(_WORST, _WORST),
-            hmax=ranking_score(_IDEAL, score_weights),
-            hmin=ranking_score(_WORST, score_weights),
+            hmax=hmax,
+            hmin=hmin,
             score_weights=score_weights,
         )
 
@@ -190,8 +203,5 @@ def rank_znumbers(
     refs: ReferenceBounds | None = None,
 ) -> list[tuple[int, float]]:
     """(index, similarity) pairs ordered best first; ties keep input order."""
-    if not znumbers:
-        raise ValueError("nothing to rank")
     sims = [similarity(z, component_weights, refs) for z in znumbers]
-    order = sorted(range(len(znumbers)), key=lambda i: -sims[i])
-    return [(i, sims[i]) for i in order]
+    return [(i, sims[i]) for i in best_first(sims)]

@@ -1,14 +1,19 @@
 """Command-line interface: modes, formats, input handling, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import time
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfuse.cli import EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from zfuse.evidence import Frame, MassFunction, combine_all
+from zfuse.zmodel import LEXICON
 
 MEDICAL = str(files("zfuse") / "fixtures" / "medical.json")
 MEDICAL_CSV = str(files("zfuse") / "fixtures" / "medical.csv")
@@ -195,6 +200,179 @@ class TestWeightsMode:
         assert sum(doc["weights"]) == pytest.approx(1.0, abs=1e-12)
 
 
+# Inputs and expected bytes for TestPinnedOutput.  The expected text was
+# captured from the CLI before its renderers were merged; any change in what
+# a mode prints, table or JSON, must show up here.
+SHAPES = ["Low", "Very-high", [0.32, 0.41, 0.58, 0.65, 1.0], "Medium"]
+ZS = {
+    "items": [
+        {"A": "Low", "B": "Very-high"},
+        {"A": "Very-high", "B": "Very-high"},
+        {"A": [1e200, 1e200, 1e200, 1e200, 1.0], "B": "High"},
+        {"A": "Low", "B": "Very-high"},
+    ]
+}
+GRID = {
+    "frame": ["a", "b"],
+    "alpha": 0.6,
+    "sources": [
+        {"name": "S", "assessments": {"a": {"A": "Low", "B": "High"}, "b": {"A": "Medium", "B": "High"}}},
+        {"name": "T", "assessments": {
+            "a": {"A": "High", "B": "Very-high"},
+            "b": {"A": [0.1, 0.2, 0.3, 0.4, 0.8], "B": "Medium"},
+        }},
+    ],
+}
+
+MEDICAL_HEAD = """\
+alpha: 0.7
+score weights: 0.5540  0.2921  0.1540
+component weights: 0.7000  0.3000
+
+source  Common-cold  Meningitis  Measles   Theta
+E1           0.6791      0.1826   0.1146  0.0237
+E2           0.4746      0.1674   0.1717  0.1862
+E3           0.1717      0.1674   0.5596  0.1013
+"""
+
+PINNED_TABLES = {
+    "decide": MEDICAL_HEAD + """\
+fused        0.7089      0.1075   0.1811  0.0025
+
+conflict trace: 0.4219  0.6917
+ranking: Common-cold > Measles > Meningitis
+decision: Common-cold
+""",
+    "bpa": MEDICAL_HEAD,
+    "rank-fuzzy": """\
+alpha: 0.7
+
+rank  index   score                                     shape
+1         1  0.9813  (0.9300, 0.9800, 1.0000, 1.0000; 1.0000)
+2         2  0.6969  (0.3200, 0.4100, 0.5800, 0.6500; 1.0000)
+3         3  0.6969  (0.3200, 0.4100, 0.5800, 0.6500; 1.0000)
+4         0  0.5101  (0.0400, 0.1000, 0.1800, 0.2300; 1.0000)
+""",
+    "rank-z": """\
+alpha: 0.7
+
+rank  index  similarity  deviation  clamped
+1         1      0.9663     0.0337       no
+2         0      0.2598     0.7402       no
+3         3      0.2598     0.7402       no
+4         2      0.0000     1.0000      yes
+""",
+    "weights": """\
+n: 3
+alpha: 0.7
+weights: 0.5540  0.2921  0.1540
+orness: 0.7000
+dispersion: 0.9747
+""",
+}
+
+GRID_BPAS = [
+    {"source": "S", "masses": [
+        {"focal": ["a"], "mass": 0.22269610550904786},
+        {"focal": ["b"], "mass": 0.4119535678014447},
+        {"focal": ["a", "b"], "mass": 0.36535032668950745},
+    ]},
+    {"source": "T", "masses": [
+        {"focal": ["a"], "mass": 0.7137212833067372},
+        {"focal": ["b"], "mass": 0.14564388209186888},
+        {"focal": ["a", "b"], "mass": 0.14063483460139392},
+    ]},
+]
+
+# Payloads as dict literals: key order matters, and the CLI must print each
+# as json.dumps(payload, indent=2) followed by a newline.
+PINNED_PAYLOADS = {
+    "decide": {
+        "mode": "decide",
+        "alpha": 0.6,
+        "frame": ["a", "b"],
+        "sources": ["S", "T"],
+        "score_weights": [0.4383714066067989, 0.3232571867864065, 0.23837140660679457],
+        "component_weights": [0.6, 0.4],
+        "bpas": GRID_BPAS,
+        "conflict_trace": [0.3264543544071143],
+        "fused": [
+            {"focal": ["a"], "mass": 0.669620666614706},
+            {"focal": ["b"], "mass": 0.2540949967531179},
+            {"focal": ["a", "b"], "mass": 0.07628433663217615},
+        ],
+        "ranking": ["a", "b"],
+        "decision": "a",
+    },
+    "bpa": {"mode": "bpa", "alpha": 0.6, "frame": ["a", "b"], "sources": ["S", "T"], "bpas": GRID_BPAS},
+    "rank-fuzzy": {
+        "mode": "rank-fuzzy",
+        "alpha": 0.7,
+        "ranking": [
+            {"rank": 1, "index": 1, "score": 0.9813286881612737, "shape": [0.93, 0.98, 1.0, 1.0, 1.0]},
+            {"rank": 2, "index": 2, "score": 0.69690264472152, "shape": [0.32, 0.41, 0.58, 0.65, 1.0]},
+            {"rank": 3, "index": 3, "score": 0.69690264472152, "shape": [0.32, 0.41, 0.58, 0.65, 1.0]},
+            {"rank": 4, "index": 0, "score": 0.5100516194554562, "shape": [0.04, 0.1, 0.18, 0.23, 1.0]},
+        ],
+    },
+    "rank-z": {
+        "mode": "rank-z",
+        "alpha": 0.7,
+        "ranking": [
+            {"rank": 1, "index": 1, "similarity": 0.9662955847746543, "deviation": 0.033704415225345764,
+             "hA": 0.9813286881612737, "hB": 0.9813286881612737, "clamped": False},
+            {"rank": 2, "index": 0, "similarity": 0.2598045317522545, "deviation": 0.7401954682477455,
+             "hA": 0.5100516194554562, "hB": 0.9813286881612737, "clamped": False},
+            {"rank": 3, "index": 3, "similarity": 0.2598045317522545, "deviation": 0.7401954682477455,
+             "hA": 0.5100516194554562, "hB": 0.9813286881612737, "clamped": False},
+            {"rank": 4, "index": 2, "similarity": 0.0, "deviation": 1.0,
+             "hA": 5.539722826784258e+199, "hB": 0.8992598094731518, "clamped": True},
+        ],
+    },
+    "weights": {
+        "mode": "weights",
+        "n": 3,
+        "alpha": 0.7,
+        "weights": [0.5539722826784258, 0.2920554346431283, 0.15397228267844598],
+        "orness": 0.69999999999999,
+        "dispersion": 0.9747432399394441,
+    },
+}
+
+
+class TestPinnedOutput:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        paths = {}
+        for name, doc in (("shapes", SHAPES), ("zs", ZS), ("grid", GRID)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        return {
+            "table": {
+                "decide": ["--input", MEDICAL],
+                "bpa": ["--input", MEDICAL],
+                "rank-fuzzy": ["--input", str(paths["shapes"])],
+                "rank-z": ["--input", str(paths["zs"])],
+                "weights": ["--n", "3"],
+            },
+            "json": {
+                "decide": ["--input", str(paths["grid"])],
+                "bpa": ["--input", str(paths["grid"])],
+                "rank-fuzzy": ["--input", str(paths["shapes"])],
+                "rank-z": ["--input", str(paths["zs"])],
+                "weights": ["--n", "3"],
+            },
+        }
+
+    @pytest.mark.parametrize("mode", list(PINNED_TABLES))
+    def test_table(self, capsys, inputs, mode):
+        assert run(capsys, mode, *inputs["table"][mode]) == (EXIT_OK, PINNED_TABLES[mode], "")
+
+    @pytest.mark.parametrize("mode", list(PINNED_PAYLOADS))
+    def test_json(self, capsys, inputs, mode):
+        expected = json.dumps(PINNED_PAYLOADS[mode], indent=2) + "\n"
+        assert run(capsys, mode, *inputs["json"][mode], "--format", "json") == (EXIT_OK, expected, "")
+
 class TestFailureModes:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "decide", "--input", "/no/such/file.json")
@@ -344,7 +522,86 @@ class TestFailureModes:
         assert out == ""
         assert "source names must be distinct, got 'S' twice" in err
 
+    @pytest.mark.parametrize("mode", ["decide", "rank-z"])
+    def test_alpha_without_centroid_weight(self, tmp_path, capsys, mode):
+        path = tmp_path / "zs.json"
+        path.write_text(json.dumps(ZS))
+        code, out, err = run(capsys, mode, "--input", MEDICAL if mode == "decide" else str(path), "--alpha", "0")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "score weights for alpha 0.0 put no weight on the centroid" in err
+        assert "Traceback" not in err
+
+    def test_unreadable_file_is_reported_before_alpha(self, capsys):
+        code, _, err = run(capsys, "decide", "--input", "/no/such/file.json", "--alpha", "1.5")
+        assert code == EXIT_PARSE
+        assert "cannot read input" in err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["decide"])  # --input is required
         assert exc.value.code == 2
+
+
+# Generated documents for TestFuzz: valid shapes, of which one may be
+# replaced by anything goes, so that about half the documents reach scoring.
+# Valid shapes come from a fixed pool, which keeps generation cheap.
+shapes = st.sampled_from(
+    [t.name for t in LEXICON]
+    + ["very high", "FAIRLY_LOW"]
+    + [
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+        [0.2, 0.2, 0.6, 0.6, 0.5],
+        [0.1, 0.3, 0.3, 0.9, 0.01],
+        [-1.0, 0.5, 0.5, 2.0, 1.0],
+        [-1e200, 0.0, 0.0, 1e200, 1.0],
+        [1e200, 1e200, 1e200, 1e200, 1.0],
+        [-1e200, -1e200, -1e200, -1e200, 0.3],
+        [0.0, 1e-300, 2e-300, 1e-200, 1.0],
+    ]
+)
+# unsorted, non-finite, out of range or not numbers at all
+any_shapes = st.lists(st.floats() | st.sampled_from([-1e200, 1e200]) | st.booleans(), min_size=5, max_size=5)
+# None leaves alpha out of the document
+alphas = st.sampled_from([None, 0, 1e-12, 1.5, True]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def documents(draw):
+    frame = [f"h{j}" for j in range(draw(st.integers(2, 3)))]
+    sources = [
+        {"name": f"s{k}", "assessments": {h: {"A": draw(shapes), "B": draw(shapes)} for h in frame}}
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        cell = draw(st.sampled_from([c for s in sources for c in s["assessments"].values()]))
+        cell[draw(st.sampled_from("AB"))] = draw(any_shapes)
+    return {"frame": frame, "sources": sources}, draw(alphas)
+
+
+class TestFuzz:
+    @given(documents(), st.sampled_from(["table", "json"]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_document_decides_or_exits_cleanly(self, tmp_path_factory, generated, fmt):
+        grid_doc, alpha = generated
+        items_doc = {"items": [cell for s in grid_doc["sources"] for cell in s["assessments"].values()]}
+        for doc in (grid_doc, items_doc):
+            if alpha is not None:
+                doc["alpha"] = alpha
+        folder = tmp_path_factory.getbasetemp()
+        grid_path, items_path = folder / "fuzz_grid.json", folder / "fuzz_items.json"
+        grid_path.write_text(json.dumps(grid_doc))
+        items_path.write_text(json.dumps(items_doc))
+        for mode, path in (("decide", grid_path), ("bpa", grid_path), ("rank-z", items_path)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([mode, "--input", str(path), "--format", fmt])
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_CONFLICT)
+            assert "Traceback" not in err.getvalue()
+            if code != EXIT_OK:
+                assert out.getvalue() == ""
+            elif fmt == "json":
+                finite_json(out.getvalue())
+            else:
+                assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

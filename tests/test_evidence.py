@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,21 @@ class TestFrame:
         with pytest.raises(ValueError, match="unknown hypothesis"):
             ABC.index("D")
 
+    def test_labels_match_a_scan_of_every_bit(self):
+        def scan(frame, mask):
+            return tuple(h for i, h in enumerate(frame.hypotheses) if mask >> i & 1)
+
+        rng = random.Random(4)
+        for size in range(2, 71):
+            frame = Frame(tuple(f"H{i}" for i in range(size)))
+            # bits beyond the frame and negative masks are ignored alike
+            masks = [0, frame.theta, -1, -(1 << size // 2)]
+            masks += [1 << i for i in range(size + 3)]
+            masks += [rng.getrandbits(size + 8) for _ in range(40)]
+            masks += [-rng.getrandbits(size + 8) for _ in range(10)]
+            for mask in masks:
+                assert frame.labels(mask) == scan(frame, mask), (size, mask)
+
 
 class TestMassFunction:
     def test_masses_must_sum_to_one(self):
@@ -107,6 +123,15 @@ class TestMassFunction:
     def test_focal_items_are_sorted_by_mask(self):
         m = MassFunction(ABC, {0b111: 0.5, 0b001: 0.25, 0b010: 0.25})
         assert [labels for labels, _ in m.focal_items()] == [("A",), ("B",), ("A", "B", "C")]
+
+    def test_focal_items_on_a_wide_frame_are_fast(self):
+        frame = Frame(tuple(f"H{i}" for i in range(4000)))
+        m = bpa_from_similarities(frame, [(1 + i % 97) / 100 for i in range(4000)])
+        start = time.perf_counter()
+        items = m.focal_items()
+        assert time.perf_counter() - start < 0.5
+        assert len(items) == 4000 + 1
+        assert items[-1][0] == frame.hypotheses
 
 
 class TestBpaFromSimilarities:

@@ -115,6 +115,14 @@ class TestReferenceBounds:
         refs = ReferenceBounds.from_alpha(0.6)
         assert refs.score_weights == mem_weights(3, 0.6)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-12])
+    def test_no_centroid_weight_is_rejected(self, alpha):
+        # the centroid weight is exactly 0 here, so the ideal and the
+        # anti-ideal score alike and deviation would divide by zero
+        assert mem_weights(3, alpha).weights[0] == 0.0
+        with pytest.raises(ValueError, match=f"alpha {alpha}"):
+            ReferenceBounds.from_alpha(alpha)
+
 
 class TestDeviationAndSimilarity:
     def test_ideal_percolates_to_zero_deviation(self):

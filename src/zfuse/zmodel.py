@@ -145,6 +145,44 @@ class ZScore:
     clamped: bool = False
 
 
+def _scored(
+    z: ZNumber, component_weights: WeightVector | None, refs: ReferenceBounds | None
+) -> tuple[float, float, float, bool]:
+    """hA, hB, the deviation cut back to 1, and whether it was cut.
+
+    The one scoring kernel behind score_znumber and similarity: it unpacks
+    both weight tuples once per call and writes H out as ranking_score
+    does, term for term, so the two agree bit for bit.
+    """
+    if component_weights is None:
+        component_weights = mem_weights(2, DEFAULT_ALPHA)
+    if refs is None:
+        refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
+    cw = component_weights.weights
+    if len(cw) != 2:
+        raise ValueError(f"component blending needs a length-2 weight vector, got {len(cw)}")
+    sw = refs.score_weights.weights
+    if len(sw) != 3:
+        raise ValueError(f"ranking needs a length-3 weight vector, got {len(sw)}")
+    w1, w2 = cw
+    s0, s1, s2 = sw
+    a, b = z.A, z.B
+    h_a = s0 * centroid(a) + s1 * a.w + s2 / (1.0 + spread(a))
+    h_b = s0 * centroid(b) + s1 * b.w + s2 / (1.0 + spread(b))
+    # products, not ** 2: a far-off shape overflows to inf instead of raising,
+    # and a zero weight times that gap stays 0
+    hmax = refs.hmax
+    d_a = h_a - hmax
+    d_b = h_b - hmax
+    d_ref = refs.hmin - hmax
+    num = w1 * d_a * d_a + w2 * d_b * d_b
+    den = w1 * d_ref * d_ref + w2 * d_ref * d_ref
+    dev = math.sqrt(num / den)
+    if dev > 1.0:
+        return h_a, h_b, 1.0, True
+    return h_a, h_b, dev, False
+
+
 def score_znumber(
     z: ZNumber,
     component_weights: WeightVector | None = None,
@@ -156,28 +194,7 @@ def score_znumber(
     (H(A), H(B)) from the ideal point, scaled so the anti-ideal scores
     exactly 1.  Pass component_weights and refs built from the same alpha.
     """
-    if component_weights is None:
-        component_weights = mem_weights(2, DEFAULT_ALPHA)
-    if refs is None:
-        refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
-    if len(component_weights) != 2:
-        raise ValueError(
-            f"component blending needs a length-2 weight vector, got {len(component_weights)}"
-        )
-    w1, w2 = component_weights
-    h_a = ranking_score(z.A, refs.score_weights)
-    h_b = ranking_score(z.B, refs.score_weights)
-    # products, not ** 2: a far-off shape overflows to inf instead of raising,
-    # and a zero weight times that gap stays 0
-    d_a = h_a - refs.hmax
-    d_b = h_b - refs.hmax
-    d_ref = refs.hmin - refs.hmax
-    num = w1 * d_a * d_a + w2 * d_b * d_b
-    den = w1 * d_ref * d_ref + w2 * d_ref * d_ref
-    dev = math.sqrt(num / den)
-    clamped = dev > 1.0
-    if clamped:
-        dev = 1.0
+    h_a, h_b, dev, clamped = _scored(z, component_weights, refs)
     return ZScore(hA=h_a, hB=h_b, deviation=dev, similarity=1.0 - dev, clamped=clamped)
 
 
@@ -194,7 +211,8 @@ def similarity(
     component_weights: WeightVector | None = None,
     refs: ReferenceBounds | None = None,
 ) -> float:
-    return score_znumber(z, component_weights, refs).similarity
+    """score_znumber(...).similarity, without building the ZScore."""
+    return 1.0 - _scored(z, component_weights, refs)[2]
 
 
 def rank_znumbers(

@@ -537,6 +537,61 @@ class TestFailureModes:
         assert code == EXIT_PARSE
         assert "cannot read input" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("source,H1,\nE1,Low,High\nE1,Low,High\n", "doc.csv: header column 3 is blank"),
+            ("source, ,H2\nE1,Low,High\nE1,Low,High\n", "doc.csv: header column 2 is blank"),
+            ("source,H1,H2\n ,Low,High\n ,Low,High\n", "doc.csv: line 2: the source name is blank"),
+        ],
+        ids=["trailing-comma", "space", "source"],
+    )
+    def test_blank_csv_labels(self, tmp_path, capsys, text, where):
+        path = tmp_path / "doc.csv"
+        path.write_text(text)
+        for mode in ("decide", "bpa"):
+            code, out, err = run(capsys, mode, "--input", str(path))
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert err == f"zfuse: {where}\n"
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda doc: doc["frame"].__setitem__(1, ""), 'doc.json: "frame"[1] is blank'),
+            (lambda doc: doc["frame"].__setitem__(0, " \t"), 'doc.json: "frame"[0] is blank'),
+            (lambda doc: doc["sources"][0].__setitem__("name", ""), 'doc.json: sources[0] "name" is blank'),
+        ],
+        ids=["empty-hypothesis", "whitespace-hypothesis", "empty-source"],
+    )
+    def test_blank_json_labels(self, tmp_path, capsys, edit, where):
+        doc = grid()
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"zfuse: {where}\n"
+
+    @pytest.mark.parametrize(
+        "mode, name, data",
+        [
+            ("rank-z", "x.json", b"\xff"),
+            ("rank-fuzzy", "x.json", b'["Low", "\xe9"]'),
+            ("decide", "x.json", json.dumps(grid()).encode() + b"\xc3"),
+            ("decide", "x.csv", b"source,a,b\nS,Low,H\xffigh\nS,Low,High\n"),
+        ],
+        ids=["rank-z", "rank-fuzzy", "json-tail", "csv"],
+    )
+    def test_non_utf8_input(self, tmp_path, capsys, mode, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, mode, "--input", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"zfuse: {name}: not UTF-8 text: ")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["decide"])  # --input is required
@@ -567,11 +622,16 @@ any_shapes = st.lists(st.floats() | st.sampled_from([-1e200, 1e200]) | st.boolea
 alphas = st.sampled_from([None, 0, 1e-12, 1.5, True]) | st.floats(0.0, 1.0)
 
 
+# hypothesis labels and source names, now and then blank
+def labels(stem):
+    return st.sampled_from([stem, stem, stem, "", " "])
+
+
 @st.composite
 def documents(draw):
-    frame = [f"h{j}" for j in range(draw(st.integers(2, 3)))]
+    frame = [draw(labels(f"h{j}")) for j in range(draw(st.integers(2, 3)))]
     sources = [
-        {"name": f"s{k}", "assessments": {h: {"A": draw(shapes), "B": draw(shapes)} for h in frame}}
+        {"name": draw(labels(f"s{k}")), "assessments": {h: {"A": draw(shapes), "B": draw(shapes)} for h in frame}}
         for k in range(draw(st.integers(1, 3)))
     ]
     if draw(st.booleans()):
@@ -580,10 +640,54 @@ def documents(draw):
     return {"frame": frame, "sources": sources}, draw(alphas)
 
 
+# CSV cells hold term names only; a few are not terms at all
+csv_cells = st.sampled_from([t.name for t in LEXICON] + ["very high", "", " ", "0.5", "Lo\x00w", '"Low"'])
+
+
+@st.composite
+def csv_documents(draw):
+    """CSV bytes: a header and two rows per source, perhaps ragged or not UTF-8."""
+    hypotheses = draw(st.integers(1, 3))
+    lines = [["source"] + [draw(labels(f"h{j}")) for j in range(hypotheses)]]
+    for k in range(draw(st.integers(0, 3))):
+        name = draw(labels(f"s{k}"))
+        lines += [[name] + [draw(csv_cells) for _ in range(hypotheses)] for _ in range(2)]
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(lines))
+        if draw(st.booleans()):
+            line.append(draw(csv_cells))
+        else:
+            line.pop()
+    data = "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def assert_clean_exit(mode, path, fmt, precision):
+    """The CLI decides, or exits 2, 3 or 4 with nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([mode, "--input", str(path), "--format", fmt, "--precision", str(precision)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_CONFLICT)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if code != EXIT_OK:
+        assert text == ""
+    elif fmt == "json":
+        report = finite_json(text)
+        if "decision" in report:
+            assert report["decision"].strip()
+    else:
+        assert "nan" not in text and "inf" not in text
+        assert "decision:" not in [line.strip() for line in text.splitlines()]
+
+
 class TestFuzz:
-    @given(documents(), st.sampled_from(["table", "json"]))
+    @given(documents(), st.sampled_from(["table", "json"]), st.integers(0, 13))
     @settings(max_examples=200, deadline=None)
-    def test_every_document_decides_or_exits_cleanly(self, tmp_path_factory, generated, fmt):
+    def test_every_document_decides_or_exits_cleanly(self, tmp_path_factory, generated, fmt, precision):
         grid_doc, alpha = generated
         items_doc = {"items": [cell for s in grid_doc["sources"] for cell in s["assessments"].values()]}
         for doc in (grid_doc, items_doc):
@@ -594,14 +698,12 @@ class TestFuzz:
         grid_path.write_text(json.dumps(grid_doc))
         items_path.write_text(json.dumps(items_doc))
         for mode, path in (("decide", grid_path), ("bpa", grid_path), ("rank-z", items_path)):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([mode, "--input", str(path), "--format", fmt])
-            assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_CONFLICT)
-            assert "Traceback" not in err.getvalue()
-            if code != EXIT_OK:
-                assert out.getvalue() == ""
-            elif fmt == "json":
-                finite_json(out.getvalue())
-            else:
-                assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+            assert_clean_exit(mode, path, fmt, precision)
+
+    @given(csv_documents(), st.sampled_from(["table", "json"]), st.integers(0, 13))
+    @settings(max_examples=200, deadline=None)
+    def test_every_csv_decides_or_exits_cleanly(self, tmp_path_factory, data, fmt, precision):
+        path = tmp_path_factory.getbasetemp() / "fuzz_grid.csv"
+        path.write_bytes(data)
+        for mode in ("decide", "bpa"):
+            assert_clean_exit(mode, path, fmt, precision)

@@ -342,3 +342,92 @@ class TestSingletonFastPath:
         assert out.conflict == pytest.approx(conflict, abs=1e-12)
         got = {frozenset(labels): v for labels, v in out.combined.focal_items()}
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class _Float(float):
+    pass
+
+
+def validation_cases(rng):
+    """Seeded mass dicts: valid BPAs, and BPAs with one entry spoiled.
+
+    Spoilers are zeros, negatives, NaN, inf, ints, float subclasses, masks
+    outside the frame, the empty mask, and bool, float and str masks.
+    """
+    yield 3, {}
+    for _ in range(2000):
+        size = rng.randint(1, 12)
+        theta = (1 << size) - 1
+        masks = rng.sample(range(1, theta + 1), rng.randint(1, min(theta, 8)))
+        values = [rng.random() + 1e-3 for _ in masks]
+        total = math.fsum(values)
+        masses = {m: v / total for m, v in zip(masks, values)}
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            mask = rng.choice(list(masses))
+            kind = rng.randrange(11)
+            if kind == 0:
+                masses[mask] = 0.0
+            elif kind == 1:
+                masses[mask] = -masses[mask]
+            elif kind == 2:
+                masses[mask] = math.nan
+            elif kind == 3:
+                masses[mask] = math.inf
+            elif kind == 4:
+                masses[mask] = rng.choice((0, 1))
+            elif kind == 5:
+                masses[mask] = _Float(masses[mask])
+            elif kind == 6:
+                masses[theta << 1] = masses.pop(mask)
+            elif kind == 7:
+                masses[0] = masses.pop(mask)
+            elif kind == 8:
+                masses[float(mask)] = masses.pop(mask)
+            elif kind == 9:
+                masses["h0"] = masses.pop(mask)
+            elif 1 not in masses:
+                masses[True] = masses.pop(mask)
+        yield size, masses
+
+
+class TestValidationFastPath:
+    """MassFunction's C-builtin scan against the loop it falls back to."""
+
+    def test_same_masses_or_same_error_as_the_loop(self):
+        rng = random.Random(11)
+        fast = 0
+        for size, masses in validation_cases(rng):
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            try:
+                expected = evidence._cleaned(masses, frame.theta)
+            except (TypeError, ValueError) as err:
+                with pytest.raises(type(err)) as got:
+                    MassFunction(frame, masses)
+                assert str(got.value) == str(err)
+                continue
+            fast += evidence._plain(masses, frame.theta)
+            got = MassFunction(frame, masses).masses
+            assert got == expected
+            assert list(got) == list(expected)
+            assert all(type(v) is float for v in got.values())
+            assert got is not masses
+        assert fast > 500  # both paths were exercised
+
+    def test_bpas_take_the_fast_path(self, monkeypatch):
+        frame = Frame(tuple(f"h{i}" for i in range(300)))
+        scores = [0.0, 1.0] + [0.5] * 298
+        expected = bpa_from_similarities(frame, scores)
+        monkeypatch.setattr(evidence, "_cleaned", None)  # the loop is not reached
+        m = bpa_from_similarities(frame, scores)
+        assert m == expected
+        assert 1 not in m.masses and m.theta_mass() == 0.0
+
+    @pytest.mark.parametrize(
+        "masses",
+        [{0b01: math.nan, 0b11: 1.0}, {0b01: 0.5, 0b10: math.nan, 0b11: 0.5}, {0b11: math.nan}],
+        ids=["nan-first", "nan-between", "nan-only"],
+    )
+    def test_nan_mass_is_rejected(self, masses):
+        frame = Frame(("a", "b"))
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            MassFunction(frame, masses)

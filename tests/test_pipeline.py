@@ -1,14 +1,19 @@
 """Decision pipeline: assessment grids through fusion to a ranking."""
 
+import random
+
 import pytest
 
-from zfuse.evidence import Frame, TotalConflictError
+from zfuse import pipeline
+from zfuse.evidence import Frame, TotalConflictError, bpa_from_similarities
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
+from zfuse.owa import mem_weights
 from zfuse.pipeline import AssessmentMatrix, decide, source_bpas, strip_reliability
-from zfuse.zmodel import ZNumber, linguistic_term
+from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, linguistic_term, score_znumber, similarity
 
 DISEASES = ("Common-cold", "Meningitis", "Measles")
 EXPERTS = ("E1", "E2", "E3")
+TERMS = [t.name for t in LEXICON]
 
 
 def z(a, b):
@@ -298,3 +303,69 @@ class TestSourceBpas:
         m = medical_matrix()
         solo = AssessmentMatrix(frame=m.frame, sources=("E2",), cells=(m.cells[1],))
         assert source_bpas(solo)[0] == source_bpas(m)[1]
+
+
+def unmemoised_bpas(matrix, alpha=0.7):
+    """source_bpas without the memo: one similarity call per cell."""
+    weights = mem_weights(2, alpha)
+    refs = ReferenceBounds.from_alpha(alpha)
+    return tuple(
+        bpa_from_similarities(matrix.frame, [similarity(z, weights, refs) for z in row])
+        for row in matrix.cells
+    )
+
+
+def counted_similarity(monkeypatch):
+    calls = []
+
+    def counting(z, *args):
+        calls.append(z)
+        return similarity(z, *args)
+
+    monkeypatch.setattr(pipeline, "similarity", counting)
+    return calls
+
+
+class TestShapeMemo:
+    """source_bpas scores each distinct pair of shape objects once per call."""
+
+    def grid(self, rng, cell, sources=6, hypotheses=40):
+        return AssessmentMatrix(
+            frame=Frame(tuple(f"H{j}" for j in range(hypotheses))),
+            sources=tuple(f"E{i}" for i in range(sources)),
+            cells=tuple(tuple(cell(rng) for _ in range(hypotheses)) for _ in range(sources)),
+        )
+
+    def test_lexicon_grid_reuses_shape_objects(self, monkeypatch):
+        m = self.grid(random.Random(5), lambda rng: z(rng.choice(TERMS), rng.choice(TERMS)))
+        expected = unmemoised_bpas(m)
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(m) == expected
+        distinct = {(id(c.A), id(c.B)) for row in m.cells for c in row}
+        assert len(calls) == len(distinct) <= 81
+        source_bpas(m)  # a fresh memo per call
+        assert len(calls) == 2 * len(distinct)
+
+    def test_value_equal_numeric_shapes_are_scored_per_cell(self, monkeypatch):
+        pool = [(sorted(random.Random(k).random() for _ in range(4)) + [0.8]) for k in range(3)]
+        m = self.grid(random.Random(6), lambda rng: zn(rng.choice(pool), rng.choice(pool)))
+        expected = unmemoised_bpas(m)
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(m) == expected
+        assert len(calls) == 6 * 40
+
+    def test_clamped_far_off_shapes(self, monkeypatch):
+        far = TrapezoidalFuzzyNumber(-1e200, -1e200, 1e200, 1e200)
+        shapes = [far, TrapezoidalFuzzyNumber(-50.0, -50.0, -50.0, -50.0)] + [
+            linguistic_term(t).shape for t in TERMS
+        ]
+        m = self.grid(
+            random.Random(7),
+            lambda rng: ZNumber(rng.choice(shapes), rng.choice(shapes)),
+            hypotheses=30,
+        )
+        expected = unmemoised_bpas(m)
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(m) == expected
+        assert any(score_znumber(c).clamped for c in calls)
+        assert len(calls) == len({(id(c.A), id(c.B)) for row in m.cells for c in row})

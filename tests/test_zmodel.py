@@ -1,5 +1,8 @@
 """Z-numbers: lexicon, ranking scores, deviation, and similarity."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +213,61 @@ class TestRankZnumbers:
         a = term("Medium")
         ranked = rank_znumbers([ZNumber(a, term("Low")), ZNumber(a, term("Very-high"))])
         assert [i for i, _ in ranked] == [1, 0]
+
+
+def reference_score(z, component_weights, refs):
+    """Scoring as it was before the shared kernel: two ranking_score calls.
+
+    Returns (hA, hB, deviation, clamped).
+    """
+    w1, w2 = component_weights
+    h_a = ranking_score(z.A, refs.score_weights)
+    h_b = ranking_score(z.B, refs.score_weights)
+    d_a = h_a - refs.hmax
+    d_b = h_b - refs.hmax
+    d_ref = refs.hmin - refs.hmax
+    dev = math.sqrt((w1 * d_a * d_a + w2 * d_b * d_b) / (w1 * d_ref * d_ref + w2 * d_ref * d_ref))
+    return (h_a, h_b, 1.0, True) if dev > 1.0 else (h_a, h_b, dev, False)
+
+
+def scoring_cases(rng):
+    """Lexicon x lexicon pairs, then seeded numeric shapes, some far off."""
+    for a in LEXICON:
+        for b in LEXICON:
+            yield ZNumber(a.shape, b.shape)
+    for _ in range(500):
+        scale = rng.choice((1.0, 1.0, 50.0, 1e200))
+        shapes = []
+        for _ in range(2):
+            vertices = sorted(rng.uniform(-scale, scale) for _ in range(4))
+            shapes.append(TrapezoidalFuzzyNumber(*vertices, rng.uniform(0.01, 1.0)))
+        yield ZNumber(*shapes)
+
+
+class TestScoringKernel:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_similarity_matches_score_znumber_and_the_old_scoring(self, alpha):
+        weights = mem_weights(2, alpha)
+        refs = ReferenceBounds.from_alpha(alpha)
+        clamped = 0
+        for z in scoring_cases(random.Random(int(alpha * 10))):
+            score = score_znumber(z, weights, refs)
+            assert similarity(z, weights, refs) == score.similarity
+            assert (score.hA, score.hB, score.deviation, score.clamped) == reference_score(z, weights, refs)
+            assert score.similarity == 1.0 - score.deviation
+            clamped += score.clamped
+        assert clamped > 0
+
+    def test_similarity_checks_its_weights(self):
+        z = ZNumber(term("High"), term("High"))
+        with pytest.raises(ValueError, match="length-2"):
+            similarity(z, mem_weights(3, 0.7))
+        bad_refs = ReferenceBounds(
+            zmax=ZNumber(term("High"), term("High")),
+            zmin=ZNumber(term("Low"), term("Low")),
+            hmax=1.0,
+            hmin=0.0,
+            score_weights=mem_weights(2, 0.7),
+        )
+        with pytest.raises(ValueError, match="length-3"):
+            similarity(z, mem_weights(2, 0.7), bad_refs)

@@ -1,13 +1,19 @@
 """Frames of discernment, basic probability assignments, and Dempster's rule.
 
 Focal sets are bitmasks over the frame's hypothesis indices, so the
-combination rule works for arbitrary subsets, not just singletons.
+combination rule works for arbitrary subsets, not just singletons.  A mass
+function whose focal sets are all singletons or the whole frame, such as
+every BPA built from similarities, also carries its masses in frame order,
+and Dempster's rule runs on those vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import mul, neg, truediv
 from typing import Iterable, Mapping, Sequence
 
 _TOTAL_CONFLICT_EPS = 1e-12
@@ -42,6 +48,11 @@ class Frame:
     def theta(self) -> int:
         """Bitmask of the whole frame."""
         return (1 << len(self.hypotheses)) - 1
+
+    @cached_property
+    def singletons(self) -> tuple[int, ...]:
+        """The singleton masks 1 << i in frame order, made once per frame."""
+        return tuple(map((1).__lshift__, range(len(self.hypotheses))))
 
     def index(self, label: str) -> int:
         try:
@@ -81,7 +92,8 @@ class MassFunction:
     """A basic probability assignment: mass per focal set, summing to one.
 
     Zero-mass entries are dropped at construction, so equal assignments
-    compare equal regardless of how they were written down.
+    compare equal regardless of how they were written down.  The masses
+    dict is not to be changed after construction.
     """
 
     frame: Frame
@@ -105,6 +117,44 @@ class MassFunction:
         return cls(frame, masses)
 
     @classmethod
+    def _from_vector(cls, frame: Frame, singles: list[float], theta_mass: float) -> "MassFunction":
+        """Singleton masses in frame order plus the frame's mass.
+
+        Builds the dict once, from the frame's own masks, and validates it
+        like any other; the vector is kept only once that has passed.
+        """
+        theta = frame.theta
+        # zeros are left out, so that validation takes its fast path
+        masses = dict(compress(zip(frame.singletons, singles), singles))
+        if theta_mass:
+            # in a one-hypothesis frame the singleton is the frame itself
+            masses[theta] = masses.get(theta, 0.0) + theta_mass
+        m = cls(frame, masses)
+        if len(singles) > 1:
+            object.__setattr__(m, "_vector", (singles, theta_mass))
+        return m
+
+    @cached_property
+    def _vector(self) -> tuple[list[float], float] | None:
+        """(singleton masses in frame order, mass of the frame), or None when
+        a focal set is neither a singleton nor the whole frame.
+
+        Masks are placed by bit_length, not hashed: hash(1 << i) is
+        1 << (i % 61), so wide frames fill dicts with collision chains.
+        """
+        theta = self.frame.theta
+        singles = [0.0] * len(self.frame)
+        theta_mass = 0.0
+        for mask, value in self.masses.items():
+            if mask == theta:  # first: in a one-hypothesis frame theta is a singleton too
+                theta_mass = value
+            elif mask.bit_count() == 1:
+                singles[mask.bit_length() - 1] = value
+            else:
+                return None
+        return singles, theta_mass
+
+    @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
         """Total ignorance: all mass on the whole frame."""
         return cls(frame, {frame.theta: 1.0})
@@ -118,7 +168,17 @@ class MassFunction:
 
     def singleton_masses(self) -> dict[str, float]:
         """Mass of each hypothesis on its own, zero where not focal."""
-        return {h: self.masses.get(1 << i, 0.0) for i, h in enumerate(self.frame.hypotheses)}
+        vector = self._vector
+        if vector is not None and len(self.frame) > 1:
+            singles = vector[0]
+        else:
+            # any structure, and the one-hypothesis frame, where the vector
+            # holds the singleton's mass as the frame's
+            singles = [0.0] * len(self.frame)
+            for mask, value in self.masses.items():
+                if mask.bit_count() == 1:
+                    singles[mask.bit_length() - 1] = value
+        return dict(zip(self.frame.hypotheses, singles))
 
     def focal_items(self) -> list[tuple[tuple[str, ...], float]]:
         """(labels, mass) pairs in deterministic bitmask order."""
@@ -198,12 +258,8 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
             raise ValueError(f"similarities must lie in [0, 1], got {s}")
     residual = 1.0 - max(scores)
     total = math.fsum(scores) + residual
-    # zero entries are left out here rather than dropped by MassFunction,
-    # so that its validation can take the fast path
-    masses = {1 << i: s / total for i, s in enumerate(scores) if s}
-    if residual:
-        masses[frame.theta] = masses.get(frame.theta, 0.0) + residual / total
-    return MassFunction(frame, masses)
+    singles = list(map(truediv, scores, repeat(total)))
+    return MassFunction._from_vector(frame, singles, residual / total)
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
@@ -226,14 +282,9 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
         return CombinationOutcome(m2, 0.0, (0.0,))
     if m2.is_vacuous():
         return CombinationOutcome(m1, 0.0, (0.0,))
-    if _singletons_and_theta(m1) and _singletons_and_theta(m2):
+    if m1._vector is not None and m2._vector is not None:
         return _combine_singletons(m1, m2)
     return _combine_general(m1, m2)
-
-
-def _singletons_and_theta(m: MassFunction) -> bool:
-    theta = m.frame.theta
-    return all(mask == theta or not mask & (mask - 1) for mask in m.masses)
 
 
 def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
@@ -248,8 +299,12 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
                 buckets.setdefault(inter, []).append(product)
             else:
                 conflict_parts.append(product)
+    k = math.fsum(conflict_parts)
+    _check_conflict(k)
     totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
-    return _normalized(m1.frame, totals, math.fsum(conflict_parts))
+    survived = math.fsum(totals.values())
+    combined = {mask: value / survived for mask, value in totals.items()}
+    return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
 
 
 def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
@@ -259,46 +314,32 @@ def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcom
     from (frame, frame) alone, and every pair of distinct singletons
     conflicts: k = s1 * s2 - sum over h of m1(h) * m2(h), with s1 and s2
     the singleton totals.  That form of k is symmetric in the operands, so
-    the rule still commutes bit for bit.
+    the rule still commutes bit for bit.  Each sum is one fsum, so the
+    masses equal _combine_general's exactly.  The step runs on the two
+    frame-order vectors; the result's dict is the one keyed pass.
     """
-    theta = m1.frame.theta
-    a, b = m1.masses, m2.masses
-    t_a = a.get(theta, 0.0)
-    t_b = b.get(theta, 0.0)
+    xs, t_a = m1._vector
+    ys, t_b = m2._vector
     fsum = math.fsum
-    totals: dict[int, float] = {}
-    singles_a: list[float] = []
-    singles_b: list[float] = []
-    conflict_parts: list[float] = []
-    for h, x in a.items():
-        if h == theta:
-            continue
-        singles_a.append(x)
-        y = b.get(h, 0.0)
-        totals[h] = fsum((x * y, x * t_b, t_a * y))
-        conflict_parts.append(-(x * y))
-    for h, y in b.items():
-        if h == theta:
-            continue
-        singles_b.append(y)
-        if h not in a:
-            totals[h] = t_a * y
-    totals[theta] = t_a * t_b
-    conflict_parts.append(fsum(singles_a) * fsum(singles_b))
+    xy = list(map(mul, xs, ys))
+    totals = list(map(fsum, zip(xy, map(mul, xs, repeat(t_b)), map(mul, repeat(t_a), ys))))
     # when the cross terms are below the rounding of s1 * s2, k can come
     # out a hair below zero
-    k = max(0.0, fsum(conflict_parts))
-    return _normalized(m1.frame, totals, k)
+    k = max(0.0, fsum(chain(map(neg, xy), (fsum(xs) * fsum(ys),))))
+    _check_conflict(k)
+    theta_mass = t_a * t_b
+    survived = fsum(chain(totals, (theta_mass,)))
+    singles = list(map(truediv, totals, repeat(survived)))
+    return CombinationOutcome(
+        MassFunction._from_vector(m1.frame, singles, theta_mass / survived), k, (k,)
+    )
 
 
-def _normalized(frame: Frame, totals: dict[int, float], k: float) -> CombinationOutcome:
+def _check_conflict(k: float) -> None:
     if k >= 1.0 - _TOTAL_CONFLICT_EPS:
         raise TotalConflictError(
             f"total conflict (k = {k}) between the two mass functions", left=0, right=1
         )
-    survived = math.fsum(totals.values())
-    combined = {mask: value / survived for mask, value in totals.items()}
-    return CombinationOutcome(MassFunction(frame, combined), k, (k,))
 
 
 def combine_all(masses: Sequence[MassFunction]) -> CombinationOutcome:

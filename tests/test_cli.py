@@ -665,11 +665,24 @@ def csv_documents(draw):
     return data
 
 
-def assert_clean_exit(mode, path, fmt, precision):
+# Generated input for rank-fuzzy and weights: shapes from subnormal to
+# +-1e308 with heights in (0, 1], and alphas at and next to the corners.
+magnitudes = st.floats(-1e308, 1e308) | st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e-300, 1e308, -1e308, 0.0])
+fuzzy_shapes = st.tuples(
+    st.lists(magnitudes, min_size=4, max_size=4).map(sorted),
+    st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([5e-324, 1e-300, 1.0]),
+).map(lambda shape: shape[0] + [shape[1]])
+edge_alphas = st.sampled_from(
+    [0.0, 1.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 1e-300, math.nan, math.inf, -math.inf]
+) | st.floats(0.0, 1.0)
+
+
+def assert_clean_exit(mode, path, fmt, precision, *extra):
     """The CLI decides, or exits 2, 3 or 4 with nothing on stdout."""
+    argv = [mode, "--input", str(path)] if path is not None else [mode]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([mode, "--input", str(path), "--format", fmt, "--precision", str(precision)])
+        code = main(argv + ["--format", fmt, "--precision", str(precision), *extra])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_CONFLICT)
     assert "Traceback" not in err.getvalue()
     text = out.getvalue()
@@ -707,3 +720,29 @@ class TestFuzz:
         path.write_bytes(data)
         for mode in ("decide", "bpa"):
             assert_clean_exit(mode, path, fmt, precision)
+
+    @given(
+        st.lists(fuzzy_shapes | st.sampled_from([t.name for t in LEXICON]), min_size=1, max_size=6),
+        st.none() | edge_alphas,
+        st.booleans(),
+        st.sampled_from(["table", "json"]),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_rank_fuzzy_input_ranks_or_exits_cleanly(
+        self, tmp_path_factory, items, alpha, in_file, fmt, precision
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz_rank_fuzzy.json"
+        extra = []
+        if alpha is not None and in_file:
+            path.write_text(json.dumps({"items": items, "alpha": alpha}))
+        else:
+            path.write_text(json.dumps(items))
+            if alpha is not None:
+                extra = [f"--alpha={alpha!r}"]
+        assert_clean_exit("rank-fuzzy", path, fmt, precision, *extra)
+
+    @given(st.integers(2, 2000), edge_alphas, st.sampled_from(["table", "json"]), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_every_weights_run_exits_cleanly(self, n, alpha, fmt, precision):
+        assert_clean_exit("weights", None, fmt, precision, "--n", str(n), f"--alpha={alpha!r}")

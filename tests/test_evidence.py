@@ -431,3 +431,172 @@ class TestValidationFastPath:
         frame = Frame(("a", "b"))
         with pytest.raises(ValueError, match="nonnegative, got nan"):
             MassFunction(frame, masses)
+
+
+ONE = Frame(("only",))
+
+
+def read_vector(m):
+    """The vector the lazy read takes from the masses of a fresh copy of m."""
+    return MassFunction(m.frame, dict(m.masses))._vector
+
+
+def hashed_vector(m):
+    """The vector by dict lookups of 1 << i and theta: the oracle for the read."""
+    masses, size = m.masses, len(m.frame)
+    if size == 1:
+        return [0.0], masses.get(1, 0.0)
+    return [masses.get(1 << i, 0.0) for i in range(size)], masses.get(m.frame.theta, 0.0)
+
+
+def hashed_singletons(m):
+    """singleton_masses as it was written before the vectors."""
+    return {h: m.masses.get(1 << i, 0.0) for i, h in enumerate(m.frame.hypotheses)}
+
+
+def dict_conflict(m1, m2):
+    """k of the closed-form step on dicts, as it was written before the vectors."""
+    theta = m1.frame.theta
+    a, b = m1.masses, m2.masses
+    parts = [-(x * b.get(h, 0.0)) for h, x in a.items() if h != theta]
+    singles_a = math.fsum(x for h, x in a.items() if h != theta)
+    singles_b = math.fsum(y for h, y in b.items() if h != theta)
+    parts.append(singles_a * singles_b)
+    return max(0.0, math.fsum(parts))
+
+
+def seeded_frames(rng, count=40):
+    """Frames of 1-200 hypotheses, most past the 61 hash classes of 1 << i."""
+    sizes = [1, 2, 3, 61, 62] + [rng.randint(1, 200) for _ in range(count)]
+    return [Frame(tuple(f"h{i}" for i in range(size))) for size in sizes]
+
+
+def similarity_rows(rng, size, count):
+    """Seeded similarity rows with zeros; the first may hold a perfect score,
+    which leaves its BPA no mass on the frame."""
+    rows = []
+    for j in range(count):
+        row = [rng.random() for _ in range(size)]
+        for _ in range(rng.randint(0, size)):
+            row[rng.randrange(size)] = 0.0
+        if j == 0 and rng.random() < 0.5:
+            row[rng.randrange(size)] = 1.0
+        rows.append(row)
+    return rows
+
+
+def general_mass(rng, frame):
+    """Random focal sets of any size, some of them singletons, plus the frame."""
+    size = len(frame)
+    masks = {1 << rng.randrange(size) for _ in range(rng.randint(0, 4))}
+    masks |= {rng.getrandbits(size) or 1 for _ in range(rng.randint(1, 4))}
+    masks.add(frame.theta)
+    values = [rng.random() + 0.01 for _ in masks]
+    total = math.fsum(values)
+    return MassFunction(frame, {m: v / total for m, v in zip(masks, values)})
+
+
+class TestOneHypothesisFrame:
+    """In a frame of one hypothesis, the singleton and the frame are both mask 1."""
+
+    @pytest.mark.parametrize("score", [0.0, 0.4, 1.0])
+    def test_bpa_puts_everything_on_the_frame(self, score):
+        m = bpa_from_similarities(ONE, [score])
+        assert m.masses == {1: 1.0}
+        assert m._vector == read_vector(m) == ([0.0], 1.0)
+
+    def test_singleton_masses(self):
+        assert bpa_from_similarities(ONE, [0.4]).singleton_masses() == {"only": 1.0}
+        m = MassFunction(ONE, {1: 1.0 - 1e-13})
+        assert m.singleton_masses() == hashed_singletons(m) == {"only": 1.0 - 1e-13}
+
+    def test_dempster_combine(self, monkeypatch):
+        m = MassFunction(ONE, {1: 1.0 - 1e-13})  # not vacuous, so the step runs
+        expected = _combine_general(m, m)
+        monkeypatch.setattr(evidence, "_combine_general", None)
+        out = dempster_combine(m, m)
+        assert out.combined.masses == expected.combined.masses == {1: 1.0}
+        assert out.conflict == expected.conflict == 0.0
+        fused = combine_all([bpa_from_similarities(ONE, [s]) for s in (0.4, 0.0, 1.0)])
+        assert fused.combined.masses == {1: 1.0}
+        assert fused.steps == (0.0, 0.0)
+
+
+class TestFrameOrderVectors:
+    """Singleton+frame mass functions carry their masses in frame order too."""
+
+    def test_attached_vector_is_the_one_read_from_the_masses(self):
+        rng = random.Random(61)
+        frames = seeded_frames(rng) + [Frame(tuple(f"h{i}" for i in range(1500)))]
+        for frame in frames:
+            size = len(frame)
+            rows = similarity_rows(rng, size, 2 if size > 200 else rng.randint(2, 8))
+            rows.append([0.0] * size)  # a vacuous BPA
+            bpas = [bpa_from_similarities(frame, row) for row in rows]
+            fused = combine_all(bpas).combined
+            for m in [*bpas, fused]:
+                if size > 1 and not m.is_vacuous():
+                    assert "_vector" in m.__dict__  # attached, not read lazily
+                assert m._vector == read_vector(m) == hashed_vector(m)
+            assert bpas[-1].theta_mass() == 1.0
+
+    def test_zero_frame_mass(self):
+        frame = Frame(tuple(f"h{i}" for i in range(130)))
+        scores = [0.0, 1.0] + [0.25] * 128
+        m = bpa_from_similarities(frame, scores)
+        assert frame.theta not in m.masses and 1 not in m.masses
+        assert m._vector == read_vector(m) == hashed_vector(m)
+        assert m._vector[1] == 0.0
+
+    def test_general_structures_have_no_vector(self):
+        rng = random.Random(62)
+        for frame in seeded_frames(rng):
+            m = general_mass(rng, frame)
+            structured = all(mask == frame.theta or mask.bit_count() == 1 for mask in m.masses)
+            assert (m._vector is not None) == structured
+            if structured:
+                assert m._vector == hashed_vector(m)
+
+    def test_fold_matches_the_general_rule(self, monkeypatch):
+        rng = random.Random(63)
+        for frame in seeded_frames(rng, count=25):
+            rows = similarity_rows(rng, len(frame), rng.randint(2, 10))
+            # BPAs from similarities, and random ones of which the peaked
+            # conflict with k close to 1
+            for bpas in (
+                [bpa_from_similarities(frame, row) for row in rows],
+                [singleton_bpa(rng, frame, rng.random() < 0.5) for _ in range(rng.randint(2, 6))],
+            ):
+                acc, steps, oracle_steps = bpas[0], [], []
+                for m in bpas[1:]:
+                    if acc.is_vacuous() or m.is_vacuous():
+                        out = dempster_combine(acc, m)
+                        k = out.conflict
+                    else:
+                        out = _combine_general(acc, m)
+                        k = dict_conflict(acc, m)
+                    acc = out.combined
+                    steps.append(out.conflict)
+                    oracle_steps.append(k)
+                with monkeypatch.context() as patch:
+                    patch.setattr(evidence, "_combine_general", None)
+                    got = combine_all(bpas)
+                assert got.combined.masses == acc.masses
+                # k from the closed form is the old dict step's, bit for bit;
+                # it is within an ulp of the general rule's sum over every
+                # cross product
+                assert got.steps == tuple(oracle_steps)
+                assert got.steps == pytest.approx(steps, abs=1e-15)
+
+    def test_singleton_masses_match_the_lookups(self):
+        rng = random.Random(65)
+        for frame in seeded_frames(rng):
+            bpas = [bpa_from_similarities(frame, row) for row in similarity_rows(rng, len(frame), 3)]
+            general = [general_mass(rng, frame) for _ in range(3)]
+            for m in [*bpas, combine_all(bpas).combined, *general, combine_all(general).combined]:
+                assert m.singleton_masses() == hashed_singletons(m)
+
+    def test_frame_makes_its_masks_once(self):
+        frame = Frame(tuple(f"h{i}" for i in range(100)))
+        assert frame.singletons == tuple(1 << i for i in range(100))
+        assert frame.singletons is frame.singletons  # made once

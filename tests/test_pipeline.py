@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zfuse import pipeline
+from zfuse import evidence, pipeline
 from zfuse.evidence import Frame, TotalConflictError, bpa_from_similarities
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.owa import mem_weights
@@ -369,3 +369,32 @@ class TestShapeMemo:
         assert source_bpas(m) == expected
         assert any(score_znumber(c).clamped for c in calls)
         assert len(calls) == len({(id(c.A), id(c.B)) for row in m.cells for c in row})
+
+
+class TestThetaUnderflow:
+    """combine_all's documented behaviour on a long fold: the fused frame mass
+    reaches 0.0 at 2000 sources x 5 hypotheses, and the fold goes on over the
+    singletons on the closed-form step."""
+
+    def test_long_numeric_fold(self, monkeypatch):
+        rng = random.Random(2000)
+
+        def shape():
+            return TrapezoidalFuzzyNumber(*sorted(rng.random() for _ in range(4)), rng.uniform(0.5, 1.0))
+
+        m = AssessmentMatrix(
+            frame=Frame(tuple(f"H{j}" for j in range(5))),
+            sources=tuple(f"E{i}" for i in range(2000)),
+            cells=tuple(tuple(ZNumber(shape(), shape()) for _ in range(5)) for _ in range(2000)),
+        )
+
+        def general(m1, m2):
+            raise AssertionError("a step left the closed form")
+
+        monkeypatch.setattr(evidence, "_combine_general", general)
+        report = decide(m)
+        assert m.frame.theta not in report.fused.masses
+        assert report.fused.theta_mass() == 0.0
+        assert len(report.conflict_trace) == 1999
+        assert report.decision == report.ranking[0]
+        assert sum(report.fused.singleton_masses().values()) == pytest.approx(1.0, abs=1e-12)

@@ -5,7 +5,7 @@ assessments to similarities against the ideal, similarities to basic
 probability assignments, and those are fused with Dempster's rule.
 """
 
-from .fuzzy import ScoreFactors, TrapezoidalFuzzyNumber, centroid, membership, score_factors, spread
+from .fuzzy import TrapezoidalFuzzyNumber, centroid, membership, spread
 from .owa import DEFAULT_ALPHA, WeightVector, dispersion, mem_weights, orness
 from .zmodel import (
     LEXICON,
@@ -13,7 +13,6 @@ from .zmodel import (
     ReferenceBounds,
     ZNumber,
     ZScore,
-    deviation,
     linguistic_term,
     rank_fuzzy,
     rank_znumbers,
@@ -36,11 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TrapezoidalFuzzyNumber",
-    "ScoreFactors",
     "membership",
     "centroid",
     "spread",
-    "score_factors",
     "WeightVector",
     "orness",
     "dispersion",
@@ -55,7 +52,6 @@ __all__ = [
     "ranking_score",
     "rank_fuzzy",
     "score_znumber",
-    "deviation",
     "similarity",
     "rank_znumbers",
     "Frame",

@@ -27,8 +27,6 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CONFLICT = 4
 
-MODES = ("decide", "bpa", "rank-fuzzy", "rank-z", "weights")
-
 
 class InputError(Exception):
     """The input file does not match the expected shape."""
@@ -40,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Z-number decision fusion: score assessments, build BPAs, combine evidence.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode in _MODES:
         p = sub.add_parser(mode)
         if mode != "weights":
             p.add_argument("--input", "-i", type=Path, required=True, help="input file (JSON, or CSV for assessment grids)")
@@ -323,7 +321,7 @@ def _weights_report(n: int, alpha: float) -> dict:
     vector = mem_weights(n, alpha)
     return {
         "mode": "weights",
-        "n": vector.n,
+        "n": len(vector),
         "alpha": alpha,
         "weights": list(vector),
         "orness": orness(vector),

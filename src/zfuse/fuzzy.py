@@ -1,4 +1,4 @@
-"""Generalized trapezoidal fuzzy numbers and their three scoring factors.
+"""Generalized trapezoidal fuzzy numbers: membership, centroid and spread.
 
 A value is described by the tuple (a, b, c, d; w): membership rises linearly
 on [a, b], stays flat at height w on [b, c], and falls linearly on [c, d].
@@ -39,24 +39,6 @@ class TrapezoidalFuzzyNumber:
     @property
     def vertices(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-    def is_point(self) -> bool:
-        """True when all four vertices coincide."""
-        return self.a == self.d
-
-
-@dataclass(frozen=True)
-class ScoreFactors:
-    """The three ranking ingredients of a fuzzy number, importance-ordered.
-
-    x is the centroid abscissa, h the height, and compact = 1 / (1 + std)
-    rewards tight numbers; std is kept alongside for reporting.
-    """
-
-    x: float
-    h: float
-    std: float
-    compact: float
 
 
 def membership(f: TrapezoidalFuzzyNumber, x: float) -> float:
@@ -114,14 +96,3 @@ def spread(f: TrapezoidalFuzzyNumber) -> float:
     """
     a, b, c, d = f.a, f.b, f.c, f.d
     return math.hypot(b - a, c - a, d - a, c - b, d - b, d - c) * _INV_SQRT12
-
-
-def score_factors(f: TrapezoidalFuzzyNumber) -> ScoreFactors:
-    """Bundle centroid, height, and spread of f for ranking."""
-    std = spread(f)
-    return ScoreFactors(
-        x=centroid(f),
-        h=f.w,
-        std=std,
-        compact=1.0 / (1.0 + std),
-    )

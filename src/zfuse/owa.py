@@ -54,10 +54,6 @@ class WeightVector:
         if abs(orness(self.weights) - self.alpha) > 1e-9:
             raise ValueError("weights do not realize the declared orness")
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -66,10 +62,6 @@ class WeightVector:
 
     def __getitem__(self, i: int) -> float:
         return self.weights[i]
-
-    @property
-    def dispersion(self) -> float:
-        return dispersion(self.weights)
 
 
 def _geometric(n: int, r: float) -> list[float]:

@@ -57,7 +57,10 @@ class AssessmentMatrix:
                 )
 
     def cell(self, source: str, hypothesis: str) -> ZNumber:
-        row = self.sources.index(source)
+        try:
+            row = self.sources.index(source)
+        except ValueError:
+            raise ValueError(f"unknown source {source!r}") from None
         return self.cells[row][self.frame.index(hypothesis)]
 
     def transposed(self) -> "AssessmentMatrix":

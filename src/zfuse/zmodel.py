@@ -94,20 +94,19 @@ _WORST = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class ReferenceBounds:
-    """The ideal and anti-ideal Z-numbers with their component scores.
+    """Component scores of the ideal and anti-ideal Z-numbers.
 
     hmax and hmin are the H scores of the ideal's and anti-ideal's
     components under score_weights; deviations are normalized against them.
     """
 
-    zmax: ZNumber
-    zmin: ZNumber
     hmax: float
     hmin: float
     score_weights: WeightVector
 
     @classmethod
-    def from_weights(cls, score_weights: WeightVector) -> "ReferenceBounds":
+    def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
+        score_weights = mem_weights(3, alpha)
         # the ideal and anti-ideal differ only in the centroid factor, so they
         # score alike when its weight is 0: alpha 0 and alpha up to about 5e-9
         hmax = ranking_score(_IDEAL, score_weights)
@@ -117,17 +116,7 @@ class ReferenceBounds:
                 f"score weights for alpha {score_weights.alpha} put no weight on the centroid, "
                 "so the ideal and anti-ideal score alike and deviation is undefined"
             )
-        return cls(
-            zmax=ZNumber(_IDEAL, _IDEAL),
-            zmin=ZNumber(_WORST, _WORST),
-            hmax=hmax,
-            hmin=hmin,
-            score_weights=score_weights,
-        )
-
-    @classmethod
-    def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
-        return cls.from_weights(mem_weights(3, alpha))
+        return cls(hmax=hmax, hmin=hmin, score_weights=score_weights)
 
 
 @dataclass(frozen=True)
@@ -196,14 +185,6 @@ def score_znumber(
     """
     h_a, h_b, dev, clamped = _scored(z, component_weights, refs)
     return ZScore(hA=h_a, hB=h_b, deviation=dev, similarity=1.0 - dev, clamped=clamped)
-
-
-def deviation(
-    z: ZNumber,
-    component_weights: WeightVector | None = None,
-    refs: ReferenceBounds | None = None,
-) -> float:
-    return score_znumber(z, component_weights, refs).deviation
 
 
 def similarity(

@@ -49,7 +49,7 @@ class TestDispersion:
 class TestWeightVector:
     def test_iterates_and_indexes(self):
         v = mem_weights(3, 0.7)
-        assert len(v) == 3 and v.n == 3
+        assert len(v) == 3
         assert list(v) == [v[0], v[1], v[2]]
 
     def test_rejects_bad_sum(self):

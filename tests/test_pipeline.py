@@ -90,6 +90,13 @@ class TestAssessmentMatrix:
         m = medical_matrix()
         assert m.cell("E2", "Measles") == z("Low", "Very-high")
 
+    def test_cell_names_an_unknown_label(self):
+        m = medical_matrix()
+        with pytest.raises(ValueError, match="^unknown source 'x'$"):
+            m.cell("x", "Measles")
+        with pytest.raises(ValueError, match="^unknown hypothesis 'x'$"):
+            m.cell("E2", "x")
+
     def test_transpose_round_trips(self):
         m = medical_matrix()
         t = m.transposed()
@@ -125,7 +132,7 @@ class TestDecideMedical:
     def test_config_echo(self):
         report = decide(medical_matrix(), alpha=0.7)
         assert report.alpha == 0.7
-        assert report.score_weights.n == 3
+        assert len(report.score_weights) == 3
         assert report.component_weights.weights == (0.7, 0.3)
         assert report.sources == EXPERTS
 

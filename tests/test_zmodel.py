@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfuse.fuzzy import TrapezoidalFuzzyNumber
+from zfuse.fuzzy import TrapezoidalFuzzyNumber, centroid, spread
 from zfuse.owa import mem_weights
 from zfuse.zmodel import (
     LEXICON,
     ReferenceBounds,
     ZNumber,
-    deviation,
     linguistic_term,
     rank_fuzzy,
     rank_znumbers,
@@ -25,6 +24,10 @@ from zfuse.zmodel import (
 
 def term(name):
     return linguistic_term(name).shape
+
+
+IDEAL = ZNumber(TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0), TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0))
+ANTI_IDEAL = ZNumber(TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0), TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0))
 
 
 class TestLexicon:
@@ -81,10 +84,7 @@ class TestRankingScore:
         # neutral weights average the three factors
         f = term("Medium")
         v = mem_weights(3, 0.5)
-        from zfuse.fuzzy import score_factors
-
-        sf = score_factors(f)
-        assert ranking_score(f, v) == pytest.approx((sf.x + sf.h + sf.compact) / 3.0)
+        assert ranking_score(f, v) == pytest.approx((centroid(f) + f.w + 1 / (1 + spread(f))) / 3)
 
 
 class TestRankFuzzy:
@@ -109,8 +109,6 @@ class TestRankFuzzy:
 class TestReferenceBounds:
     def test_ideal_and_anti_ideal(self):
         refs = ReferenceBounds.from_alpha(0.7)
-        assert refs.zmax.A.vertices == (1.0, 1.0, 1.0, 1.0)
-        assert refs.zmin.B.vertices == (0.0, 0.0, 0.0, 0.0)
         assert refs.hmax == 1.0
         assert refs.hmin == pytest.approx(0.446028, abs=1e-6)
 
@@ -129,13 +127,11 @@ class TestReferenceBounds:
 
 class TestDeviationAndSimilarity:
     def test_ideal_percolates_to_zero_deviation(self):
-        refs = ReferenceBounds.from_alpha(0.7)
-        assert deviation(refs.zmax) == 0.0
-        assert similarity(refs.zmax) == 1.0
+        assert score_znumber(IDEAL).deviation == 0.0
+        assert similarity(IDEAL) == 1.0
 
     def test_anti_ideal_hits_one_exactly(self):
-        refs = ReferenceBounds.from_alpha(0.7)
-        score = score_znumber(refs.zmin)
+        score = score_znumber(ANTI_IDEAL)
         assert score.deviation == 1.0
         assert score.similarity == 0.0
         assert not score.clamped
@@ -146,7 +142,7 @@ class TestDeviationAndSimilarity:
             ZNumber(term("Low"), term("Very-high")),
             ZNumber(term("Absolutely-low"), term("Very-high")),
         ]
-        devs = [deviation(z) for z in row]
+        devs = [score_znumber(z).deviation for z in row]
         assert devs[0] == pytest.approx(0.0338, abs=1e-3)
         assert devs[1] == pytest.approx(0.7401, abs=1e-3)
         assert devs[2] == pytest.approx(0.8368, abs=1e-3)
@@ -159,8 +155,8 @@ class TestDeviationAndSimilarity:
         # circle, so any difference comes from the 0.7/0.3 split
         lo = TrapezoidalFuzzyNumber(0.3, 0.3, 0.3, 0.3)
         hi = TrapezoidalFuzzyNumber(0.9, 0.9, 0.9, 0.9)
-        d_lo_hi = deviation(ZNumber(lo, hi))
-        d_hi_lo = deviation(ZNumber(hi, lo))
+        d_lo_hi = score_znumber(ZNumber(lo, hi)).deviation
+        d_hi_lo = score_znumber(ZNumber(hi, lo)).deviation
         assert d_lo_hi != pytest.approx(d_hi_lo, abs=1e-6)
         assert d_lo_hi > d_hi_lo  # the evaluation component weighs more
 
@@ -263,8 +259,6 @@ class TestScoringKernel:
         with pytest.raises(ValueError, match="length-2"):
             similarity(z, mem_weights(3, 0.7))
         bad_refs = ReferenceBounds(
-            zmax=ZNumber(term("High"), term("High")),
-            zmin=ZNumber(term("Low"), term("Low")),
             hmax=1.0,
             hmin=0.0,
             score_weights=mem_weights(2, 0.7),

@@ -51,7 +51,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    return run(build_parser().parse_args(_alpha_joined(sys.argv[1:] if argv is None else argv)))
+
+
+def _alpha_joined(argv: list[str]) -> list[str]:
+    """argv with each `--alpha VALUE` written `--alpha=VALUE` when VALUE is a number.
+
+    argparse takes a value that starts with '-' and is not a plain decimal,
+    such as -1e-3 or -inf, for an option, and fails before the range check
+    could name it.  A token float() rejects, such as --format, is left to
+    argparse.
+    """
+    joined = list(argv)
+    # from the end, so that joining a pair shifts no token still to visit
+    for i in range(len(joined) - 1, 0, -1):
+        if joined[i - 1] == "--alpha" and _is_number(joined[i]):
+            joined[i - 1 : i + 1] = [f"--alpha={joined[i]}"]
+    return joined
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def run(args: argparse.Namespace) -> int:

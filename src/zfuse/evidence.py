@@ -87,6 +87,25 @@ class Frame:
         return tuple(out)
 
 
+class _MassesFromVector:
+    """MassFunction.masses where the instance has none of its own yet.
+
+    Only a mass function built by _from_vector lacks it: the dict is built
+    from the vector on first read and kept on the instance, where every
+    later read finds it first.  A class-level __getattr__ would do the same
+    but slow every attribute read of every mass function.
+    """
+
+    def __get__(self, m: "MassFunction | None", owner: type | None = None) -> dict[int, float]:
+        vector = None if m is None else m.__dict__.get("_vector")
+        if vector is None:
+            # also read on the class, where it tells dataclass there is no default
+            raise AttributeError("masses")
+        masses = _vector_masses(m.frame, *vector)
+        object.__setattr__(m, "masses", masses)
+        return masses
+
+
 @dataclass(frozen=True)
 class MassFunction:
     """A basic probability assignment: mass per focal set, summing to one.
@@ -94,10 +113,15 @@ class MassFunction:
     Zero-mass entries are dropped at construction, so equal assignments
     compare equal regardless of how they were written down.  The masses
     dict is not to be changed after construction.
+
+    A singleton+frame mass function that the library builds from a
+    frame-order vector (see _from_vector) makes its masses dict the first
+    time it is read; its other methods read the vector.
     """
 
     frame: Frame
-    masses: dict[int, float]
+    # a descriptor, not a default: see _MassesFromVector
+    masses: dict[int, float] = _MassesFromVector()
 
     def __post_init__(self) -> None:
         masses, theta = self.masses, self.frame.theta
@@ -120,27 +144,27 @@ class MassFunction:
     def _from_vector(cls, frame: Frame, singles: list[float], theta_mass: float) -> "MassFunction":
         """Singleton masses in frame order plus the frame's mass.
 
-        Builds the dict once, from the frame's own masks, and validates it
-        like any other; the vector is kept only once that has passed.
+        The vector is validated by scans that run in C, and the masses dict
+        is left to be built from it when first read (_MassesFromVector).
         """
-        theta = frame.theta
-        # zeros are left out, so that validation takes its fast path
-        masses = dict(compress(zip(frame.singletons, singles), singles))
-        if theta_mass:
-            # in a one-hypothesis frame the singleton is the frame itself
-            masses[theta] = masses.get(theta, 0.0) + theta_mass
-        m = cls(frame, masses)
-        if len(singles) > 1:
+        if len(singles) > 1 and _plain_vector(singles, theta_mass):
+            m = cls.__new__(cls)
+            object.__setattr__(m, "frame", frame)
             object.__setattr__(m, "_vector", (singles, theta_mass))
-        return m
+            return m
+        # the one-hypothesis frame, or a vector that a scan rejects: the
+        # constructor builds the dict now, or raises its usual error
+        return cls(frame, _vector_masses(frame, singles, theta_mass))
 
     @cached_property
     def _vector(self) -> tuple[list[float], float] | None:
         """(singleton masses in frame order, mass of the frame), or None when
         a focal set is neither a singleton nor the whole frame.
 
-        Masks are placed by bit_length, not hashed: hash(1 << i) is
-        1 << (i % 61), so wide frames fill dicts with collision chains.
+        One built by _from_vector holds it from the start; any other reads
+        it here, once, from its masses.  Masks are placed by bit_length,
+        not hashed: hash(1 << i) is 1 << (i % 61), so wide frames fill
+        dicts with collision chains.
         """
         theta = self.frame.theta
         singles = [0.0] * len(self.frame)
@@ -164,7 +188,10 @@ class MassFunction:
         return self.masses.get(self.frame.subset(labels), 0.0)
 
     def theta_mass(self) -> float:
-        return self.masses.get(self.frame.theta, 0.0)
+        vector = self._vector
+        if vector is None:
+            return self.masses.get(self.frame.theta, 0.0)
+        return vector[1]
 
     def singleton_masses(self) -> dict[str, float]:
         """Mass of each hypothesis on its own, zero where not focal."""
@@ -182,10 +209,45 @@ class MassFunction:
 
     def focal_items(self) -> list[tuple[tuple[str, ...], float]]:
         """(labels, mass) pairs in deterministic bitmask order."""
-        return [(self.frame.labels(m), v) for m, v in sorted(self.masses.items())]
+        vector = self._vector
+        if vector is None:
+            return [(self.frame.labels(m), v) for m, v in sorted(self.masses.items())]
+        # singletons in frame order, then the frame: the order of their masks
+        singles, theta_mass = vector
+        hypotheses = self.frame.hypotheses
+        items = [((h,), v) for h, v in zip(hypotheses, singles) if v]
+        if theta_mass:
+            items.append((hypotheses, theta_mass))
+        return items
 
     def is_vacuous(self) -> bool:
-        return self.masses == {self.frame.theta: 1.0}
+        vector = self._vector
+        # no vector: some focal set is neither a singleton nor the frame
+        return vector is not None and vector[1] == 1.0 and not any(vector[0])
+
+
+def _vector_masses(frame: Frame, singles: list[float], theta_mass: float) -> dict[int, float]:
+    """The masses dict of a frame-order vector, zeros left out, keyed by the
+    frame's own masks."""
+    masses = dict(compress(zip(frame.singletons, singles), singles))
+    if theta_mass:
+        # in a one-hypothesis frame the singleton is the frame itself
+        masses[frame.theta] = masses.get(frame.theta, 0.0) + theta_mass
+    return masses
+
+
+def _plain_vector(singles: list[float], theta_mass: float) -> bool:
+    """True when _vector_masses would give a dict that _plain accepts.
+
+    Float masses in [0, 1] summing to 1; zeros are fine, as they are left
+    out of the dict.  The scans run in C.
+    """
+    if type(theta_mass) is not float or {*map(type, singles)} != {float}:
+        return False
+    if not (min(singles) >= 0.0 and max(singles) <= 1.0 and 0.0 <= theta_mass <= 1.0):
+        return False
+    # a NaN can slip past min and max, but not past this
+    return abs(math.fsum(chain(singles, (theta_mass,))) - 1.0) <= 1e-12
 
 
 def _plain(masses: Mapping[int, float], theta: int) -> bool:
@@ -291,8 +353,10 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     """Dempster's rule over every pair of focal sets, for any structure."""
     buckets: dict[int, list[float]] = {}
     conflict_parts: list[float] = []
+    # once per step, not per left focal set: masses is read through a descriptor
+    right = m2.masses.items()
     for s1, v1 in m1.masses.items():
-        for s2, v2 in m2.masses.items():
+        for s2, v2 in right:
             product = v1 * v2
             inter = s1 & s2
             if inter:

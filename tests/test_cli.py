@@ -446,6 +446,20 @@ class TestFailureModes:
         assert out == ""
         assert "alpha" in err
 
+    @pytest.mark.parametrize("mode, argv", [("decide", ["--input", MEDICAL]), ("weights", ["--n", "3"])])
+    @pytest.mark.parametrize("value, shown", [("-1e-3", "-0.001"), ("-inf", "-inf")])
+    def test_negative_alpha_is_named_in_either_form(self, capsys, mode, argv, value, shown):
+        # argparse alone takes "-1e-3" after a space for an option, not a value
+        expected = (EXIT_INVALID, "", f"zfuse: alpha must lie in [0, 1], got {shown}\n")
+        assert run(capsys, mode, *argv, "--alpha", value) == expected
+        assert run(capsys, mode, *argv, f"--alpha={value}") == expected
+
+    def test_alpha_followed_by_an_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", "--input", MEDICAL, "--alpha", "--format", "json"])
+        assert exc.value.code == EXIT_PARSE
+        assert capsys.readouterr().err.endswith("error: argument --alpha: expected one argument\n")
+
     def test_precision_out_of_range(self, capsys):
         code, _, err = run(capsys, "decide", "--input", MEDICAL, "--precision", "0")
         assert code == EXIT_INVALID

@@ -1,6 +1,9 @@
 """Evidence layer: frames, mass functions, BPA generation, Dempster's rule."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import time
 
@@ -600,3 +603,99 @@ class TestFrameOrderVectors:
         frame = Frame(tuple(f"h{i}" for i in range(100)))
         assert frame.singletons == tuple(1 << i for i in range(100))
         assert frame.singletons is frame.singletons  # made once
+
+
+def eager_twin(m):
+    """A mass function built by the dict constructor from m's vector, by
+    lookups of 1 << i: the oracle for the dict a vector-built one makes."""
+    singles, theta_mass = m._vector
+    masses = {1 << i: v for i, v in enumerate(singles) if v}
+    if theta_mass:
+        masses[m.frame.theta] = theta_mass
+    return MassFunction(m.frame, masses)
+
+
+class TestLazyMasses:
+    """A mass function built from a frame-order vector makes its masses dict
+    on first read, and until then answers from the vector."""
+
+    SIZES = (2, 3, 61, 62, 200, 1500)
+
+    def lazy_cases(self, rng, size):
+        """BPAs from similarity rows, with zeros, a perfect score, and a
+        vacuous row, plus their fusion; none has had its dict read."""
+        frame = Frame(tuple(f"h{i}" for i in range(size)))
+        rows = similarity_rows(rng, size, 3) + [[0.0] * size]
+        rows[1][rng.randrange(size)] = 1.0  # no mass left on the frame
+        bpas = [bpa_from_similarities(frame, row) for row in rows]
+        return [*bpas, combine_all(bpas).combined]
+
+    def test_methods_and_dict_match_an_eager_twin(self):
+        rng = random.Random(1500)
+        for size in self.SIZES:
+            cases = self.lazy_cases(rng, size)
+            assert cases[1].theta_mass() == 0.0 and cases[3].is_vacuous()
+            for m in cases:
+                twin = eager_twin(m)
+                assert m.focal_items() == twin.focal_items()
+                assert m.theta_mass() == twin.theta_mass()
+                assert m.is_vacuous() == twin.is_vacuous()
+                assert m.singleton_masses() == twin.singleton_masses()
+                assert "masses" not in m.__dict__  # nothing above built it
+                assert m.masses == twin.masses
+                assert list(m.masses) == list(twin.masses)
+                assert all(type(v) is float and v for v in m.masses.values())
+                assert m.masses is m.masses  # built once
+
+    def test_dataclass_protocols_match_an_eager_twin(self):
+        rng = random.Random(1501)
+        for size in self.SIZES:
+            for m in self.lazy_cases(rng, size):
+                twin = eager_twin(m)
+                copied, pickled = copy.copy(m), pickle.loads(pickle.dumps(m))
+                assert "masses" not in copied.__dict__ and "masses" not in pickled.__dict__
+                replaced = dataclasses.replace(m)
+                assert m == twin and twin == m
+                assert copied == twin and pickled == twin and replaced == twin
+                assert repr(m) == repr(twin)
+                assert dataclasses.replace(m, masses={m.frame.theta: 1.0}).is_vacuous()
+
+    def test_masses_has_no_default(self):
+        assert dataclasses.fields(MassFunction)[1].default is dataclasses.MISSING
+        with pytest.raises(TypeError, match="masses"):
+            MassFunction(ABC)
+        assert not hasattr(MassFunction, "masses")
+
+    @pytest.mark.parametrize(
+        "singles, theta_mass",
+        [
+            ([math.nan, 0.5, 0.0], 0.5),
+            ([0.2, 0.3, 0.0], math.nan),
+            ([-0.25, 0.75, 0.0], 0.5),
+            ([0.25, 0.0, 0.0], -0.25),
+            ([1.5, 0.0, 0.0], -0.5),
+            ([math.inf, 0.0, 0.0], 0.0),
+            ([0.2, 0.3, 0.0], 0.4),
+            ([0.0, 0.0, 0.0], 0.0),
+            ([0.5, 0.5, 1e-11], 0.0),
+        ],
+        ids=["nan", "nan-frame", "negative", "negative-frame", "above-one", "inf", "short", "empty", "long"],
+    )
+    def test_bad_vectors_raise_as_the_dict_path_does(self, singles, theta_mass):
+        masses = {1 << i: v for i, v in enumerate(singles) if v}
+        if theta_mass:
+            masses[ABC.theta] = theta_mass
+        with pytest.raises(ValueError) as expected:
+            MassFunction(ABC, masses)
+        with pytest.raises(ValueError) as got:
+            MassFunction._from_vector(ABC, singles, theta_mass)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_vector_the_scans_reject_can_still_be_a_bpa(self):
+        # an int mass is no float, so the constructor takes it, as for a dict
+        m = MassFunction._from_vector(ABC, [0.5, 0.0, 0.25], 0.25)
+        n = MassFunction._from_vector(ABC, [0.5, 0, 0.25], 0.25)
+        assert "masses" not in m.__dict__ and "masses" in n.__dict__
+        assert m == n
+        assert n._vector == m._vector and n.focal_items() == m.focal_items()

@@ -1,10 +1,11 @@
 """Decision pipeline: assessment grids through fusion to a ranking."""
 
+import json
 import random
 
 import pytest
 
-from zfuse import evidence, pipeline
+from zfuse import cli, evidence, pipeline
 from zfuse.evidence import Frame, TotalConflictError, bpa_from_similarities
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.owa import mem_weights
@@ -376,6 +377,32 @@ class TestShapeMemo:
         assert source_bpas(m) == expected
         assert any(score_znumber(c).clamped for c in calls)
         assert len(calls) == len({(id(c.A), id(c.B)) for row in m.cells for c in row})
+
+
+class TestNoMassesDict:
+    """decide and the CLI's reports answer from frame-order vectors; on wide
+    frames each masses dict costs O(H^2/61), as hash(1 << i) == 1 << (i % 61)."""
+
+    def test_decide_and_reports_build_none(self, monkeypatch):
+        rng = random.Random(200)
+        m = AssessmentMatrix(
+            frame=Frame(tuple(f"H{j}" for j in range(200))),
+            sources=("E0", "E1", "E2"),
+            cells=tuple(tuple(z(rng.choice(TERMS), rng.choice(TERMS)) for _ in range(200)) for _ in range(3)),
+        )
+        builds = []
+        make = evidence._vector_masses
+        monkeypatch.setattr(evidence, "_vector_masses", lambda *args: builds.append(args) or make(*args))
+        report = decide(m)
+        for mode in ("decide", "bpa"):
+            build, table = cli._MODES[mode]
+            payload = build(m, 0.7)
+            json.dumps(payload)
+            table(payload, ".4f")
+        assert builds == []
+        assert all("masses" not in bpa.__dict__ for bpa in (*report.per_source_bpas, report.fused))
+        report.fused.masses  # the first read builds it
+        assert len(builds) == 1
 
 
 class TestThetaUnderflow:

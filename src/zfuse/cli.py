@@ -11,7 +11,9 @@ give byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -51,7 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(_alpha_joined(sys.argv[1:] if argv is None else argv)))
+    return run(_parser().parse_args(_alpha_joined(sys.argv[1:] if argv is None else argv)))
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses, built on its first call and kept for the process.
+
+    parse_args leaves a parser as it found it, so no call changes the next.
+    """
+    return build_parser()
 
 
 def _alpha_joined(argv: list[str]) -> list[str]:
@@ -166,6 +177,23 @@ def _file_alpha(doc: dict, name: str) -> float | None:
     return None if alpha is None else _number(alpha, f'{name}: "alpha"')
 
 
+# the entry types a JSON number loads as; bool is a subclass of int, not listed
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _numbers(value: list, where: str) -> list[float]:
+    """The entries of a JSON list as floats; where names the list in error messages.
+
+    A list of plain ints and floats is converted after one type scan.  Any
+    other list, or an int too large for a float, goes through _number one
+    entry at a time, which names what is wrong.
+    """
+    if _PLAIN_NUMBERS.issuperset(map(type, value)):
+        with contextlib.suppress(OverflowError):
+            return list(map(float, value))
+    return [_number(v, where) for v in value]
+
+
 def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
     if isinstance(value, str):
         try:
@@ -175,7 +203,11 @@ def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
     if isinstance(value, list):
         if len(value) != 5:
             raise InputError(f"{where}: a numeric shape needs exactly [a, b, c, d, w]")
-        return TrapezoidalFuzzyNumber(*[_number(v, where) for v in value])
+        numbers = _numbers(value, where)
+        try:
+            return TrapezoidalFuzzyNumber(*numbers)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
     raise InputError(f"{where}: expected a term name or [a, b, c, d, w], got {value!r}")
 
 

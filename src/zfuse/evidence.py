@@ -39,7 +39,11 @@ class Frame:
         if not self.hypotheses:
             raise ValueError("a frame needs at least one hypothesis")
         if len(set(self.hypotheses)) != len(self.hypotheses):
-            raise ValueError("hypothesis labels must be distinct")
+            seen: set[str] = set()
+            for label in self.hypotheses:
+                if label in seen:
+                    raise ValueError(f"hypothesis labels must be distinct, got {label!r} twice")
+                seen.add(label)
 
     def __len__(self) -> int:
         return len(self.hypotheses)

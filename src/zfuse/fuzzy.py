@@ -24,10 +24,13 @@ class TrapezoidalFuzzyNumber:
     w: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d", "w"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"fuzzy number values must be finite, got {name} = {value}")
+        isfinite = math.isfinite
+        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c) and isfinite(self.d) and isfinite(self.w)):
+            # the first value that is not finite, named
+            for name in ("a", "b", "c", "d", "w"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(f"fuzzy number values must be finite, got {name} = {value}")
         if not (self.a <= self.b <= self.c <= self.d):
             raise ValueError(
                 "vertices must satisfy a <= b <= c <= d, got "

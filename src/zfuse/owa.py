@@ -29,8 +29,12 @@ def orness(weights: Iterable[float]) -> float:
 
 
 def dispersion(weights: Iterable[float]) -> float:
-    """Shannon entropy -sum w ln w of the weights, with 0 ln 0 taken as 0."""
-    return -math.fsum(w * math.log(w) for w in weights if w > 0.0)
+    """Shannon entropy -sum w ln w of the weights, with 0 ln 0 taken as 0.
+
+    Weights that carry no entropy, such as a one-hot vector, give +0.0.
+    """
+    # 0.0 - s rather than -s: it is -s for every nonzero s, but +0.0 for s = 0.0
+    return 0.0 - math.fsum(w * math.log(w) for w in weights if w > 0.0)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,22 @@ import contextlib
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfuse.cli import EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
+from zfuse import cli
+from zfuse.cli import EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
 from zfuse.evidence import Frame, MassFunction, combine_all
+from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.zmodel import LEXICON
 
 MEDICAL = str(files("zfuse") / "fixtures" / "medical.json")
@@ -199,6 +206,27 @@ class TestWeightsMode:
         assert doc["orness"] == pytest.approx(0.6, abs=1e-9)
         assert sum(doc["weights"]) == pytest.approx(1.0, abs=1e-12)
 
+    # one-hot vectors carry no entropy; dispersion must print as +0, not -0
+    ONE_HOT = [
+        ("1", "1", 1.0, [1.0, 0.0, 0.0], "1.0000  0.0000  0.0000", 1.0, "1.0000"),
+        ("0", "0", 0.0, [0.0, 0.0, 1.0], "0.0000  0.0000  1.0000", 0.0, "0.0000"),
+        ("1e-320", "9.99989e-321", 1e-320, [0.0, 0.0, 1.0], "0.0000  0.0000  1.0000", 0.0, "0.0000"),
+    ]
+
+    @pytest.mark.parametrize("arg, shown, alpha, weights, weights_text, orness, orness_text", ONE_HOT)
+    def test_one_hot_table(self, capsys, arg, shown, alpha, weights, weights_text, orness, orness_text):
+        expected = (
+            f"n: 3\nalpha: {shown}\nweights: {weights_text}\n"
+            f"orness: {orness_text}\ndispersion: 0.0000\n"
+        )
+        assert run(capsys, "weights", "--n", "3", "--alpha", arg) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("arg, shown, alpha, weights, weights_text, orness, orness_text", ONE_HOT)
+    def test_one_hot_json(self, capsys, arg, shown, alpha, weights, weights_text, orness, orness_text):
+        payload = {"mode": "weights", "n": 3, "alpha": alpha, "weights": weights, "orness": orness, "dispersion": 0.0}
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, "weights", "--n", "3", "--alpha", arg, "--format", "json") == (EXIT_OK, expected, "")
+
 
 # Inputs and expected bytes for TestPinnedOutput.  The expected text was
 # captured from the CLI before its renderers were merged; any change in what
@@ -373,6 +401,167 @@ class TestPinnedOutput:
         expected = json.dumps(PINNED_PAYLOADS[mode], indent=2) + "\n"
         assert run(capsys, mode, *inputs["json"][mode], "--format", "json") == (EXIT_OK, expected, "")
 
+def outcome(entry, argv):
+    """(exit code, stdout, stderr) of entry(argv); a SystemExit gives ("exit", its code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_on_fresh_parser(argv):
+    """main with a parser of its own, as every call built one before main shared it."""
+    return cli.run(cli.build_parser().parse_args(cli._alpha_joined(argv)))
+
+
+class TestSharedParser:
+    """main parses with one parser per process; each call behaves as on a fresh one."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        paths = {}
+        for name, doc in (("shapes", SHAPES), ("zs", ZS), ("grid", GRID)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        inputs = {
+            "decide": [["--input", MEDICAL], ["--input", MEDICAL_CSV], ["--input", str(paths["grid"])]],
+            "bpa": [["--input", RISK], ["--input", str(paths["grid"])]],
+            "rank-fuzzy": [["--input", str(paths["shapes"])]],
+            "rank-z": [["--input", str(paths["zs"])]],
+            "weights": [["--n", "3"], ["--n", "7"]],
+        }
+        options = [[], ["--precision", "12"], ["--alpha", "0.3"], ["--alpha", "1", "--precision", "2"]]
+        argvs = [
+            [mode, *given, "--format", fmt, *extra]
+            for mode, given_list in inputs.items()
+            for given in given_list
+            for fmt in ("table", "json")
+            for extra in options
+        ]
+        argvs += [
+            ["decide"],  # argparse: --input is required
+            ["weights", "--n", "3", "--alpha", "--format", "json"],
+            ["no-such-mode"],
+            ["--help"],
+            ["rank-z", "--help"],
+            ["weights", "--n", "3", "--alpha", "-1e-3"],
+            ["decide", "--input", MEDICAL, "--alpha", "-inf", "--format", "json"],
+            ["decide", "--input", "/no/such/file.json"],
+        ]
+        return argvs
+
+    def test_interleaved_calls_match_a_fresh_parser(self, argvs):
+        rng = random.Random(9)
+        calls = argvs + rng.sample(argvs, len(argvs))
+        codes = set()
+        for argv in calls:
+            shared = outcome(main, argv)
+            assert shared == outcome(main_on_fresh_parser, argv), argv
+            codes.add(shared[0])
+        # ok, usage errors, --help, and exit 2 and 3 from run
+        assert {EXIT_OK, EXIT_PARSE, EXIT_INVALID, ("exit", 0), ("exit", 2)} <= codes
+
+    def test_build_parser_returns_a_new_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+
+    def test_main_builds_at_most_one_parser(self, monkeypatch, argvs):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for argv in argvs:
+                outcome(main, argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = "import zfuse.cli as cli; print(cli._parser.cache_info().currsize)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+def loop_shape(value, where):
+    """_parse_shape on a 5-entry list, one _number call per entry: the oracle for its type scan."""
+    numbers = [cli._number(v, where) for v in value]
+    try:
+        return TrapezoidalFuzzyNumber(*numbers)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
+def parse_result(parse, value):
+    """The shape's repr, which tells -0.0 from 0.0, or the error's type and message."""
+    try:
+        return repr(parse(value, "items[0]"))
+    except (InputError, ValueError) as err:
+        return type(err), str(err)
+
+
+# entries that are not plain floats in [0, 1]: each must parse, or fail, as the loop does
+ODD_ENTRIES = [
+    True, False, None, "0.5", "", 10**400, -(10**400), 2**53 + 1, 0, 1, -1, 3,
+    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
+]
+
+
+def seeded_shapes(seed, count):
+    """5-entry lists: sorted vertices and a height, with up to two entries swapped for odd ones."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        shape = sorted(rng.choice([rng.random(), rng.randint(0, 1), rng.uniform(-2, 2)]) for _ in range(4))
+        shape.append(rng.choice([rng.random(), 1, 1.0, rng.uniform(-0.5, 1.5)]))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            shape[rng.randrange(5)] = rng.choice(ODD_ENTRIES)
+        yield shape
+
+
+class TestShapeScan:
+    """A numeric shape of plain ints and floats skips the per-entry loop, with the same result."""
+
+    def test_matches_the_per_entry_loop(self):
+        kinds = set()
+        for shape in seeded_shapes(3, 3000):
+            # through JSON, as the CLI reads it
+            shape = json.loads(json.dumps(shape))
+            expected = parse_result(loop_shape, shape)
+            assert parse_result(cli._parse_shape, shape) == expected, shape
+            kinds.add("shape" if isinstance(expected, str) else expected[0])
+        # valid shapes, entry errors (exit 2) and invariant errors (exit 3)
+        assert kinds == {"shape", InputError, ValueError}
+
+    def test_cli_exit_code_and_stderr_match_the_loop(self, tmp_path, capsys):
+        path = tmp_path / "shapes.json"
+        for shape in seeded_shapes(4, 300):
+            path.write_text(json.dumps([shape]))
+            expected = parse_result(loop_shape, json.loads(json.dumps(shape)))
+            code, out, err = run(capsys, "rank-fuzzy", "--input", str(path))
+            if isinstance(expected, str):
+                assert (code, err) == (EXIT_OK, ""), shape
+            else:
+                kind, message = expected
+                assert code == (EXIT_PARSE if kind is InputError else EXIT_INVALID), shape
+                assert (out, err) == ("", f"zfuse: {message}\n"), shape
+
+
 class TestFailureModes:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "decide", "--input", "/no/such/file.json")
@@ -525,6 +714,41 @@ class TestFailureModes:
         assert code == EXIT_PARSE
         assert out == ""
         assert '"alpha": expected a number, got true' in err
+
+    @pytest.mark.parametrize(
+        "mode, doc, message",
+        [
+            ("rank-fuzzy", ["Low", [0.3, 0.2, 0.4, 0.5, 1]],
+             "items[1]: vertices must satisfy a <= b <= c <= d, got (0.3, 0.2, 0.4, 0.5)"),
+            ("rank-fuzzy", {"items": ["Low", [0.1, 0.2, 0.4, 0.5, 1.5]]},
+             "items[1]: height must satisfy 0 < w <= 1, got 1.5"),
+            ("rank-z", {"items": [{"A": "Low", "B": [0.1, 0.2, 0.3, 0.4, 0]}]},
+             "items[0].B: height must satisfy 0 < w <= 1, got 0.0"),
+            ("decide", grid({"A": [0.5, 0.3, 0.7, 0.9, 1.0]}),
+             "S/a.A: vertices must satisfy a <= b <= c <= d, got (0.5, 0.3, 0.7, 0.9)"),
+            ("bpa", grid({"B": [0.1, 0.2, 0.3, 0.4, -1]}),
+             "S/a.B: height must satisfy 0 < w <= 1, got -1.0"),
+        ],
+        ids=["items-unsorted", "items-height", "rank-z-height", "grid-unsorted", "grid-height"],
+    )
+    def test_shape_invariant_errors_name_the_cell(self, tmp_path, capsys, mode, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, mode, "--input", str(path)) == (EXIT_INVALID, "", f"zfuse: {message}\n")
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("doc.json", json.dumps({"frame": ["H1", "H2", "H1"], "sources": grid()["sources"]})),
+            ("doc.csv", "source,H1,H2,H1\nE1,Low,High,Low\nE1,Low,High,Low\n"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_duplicate_hypothesis_labels(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        expected = (EXIT_INVALID, "", "zfuse: hypothesis labels must be distinct, got 'H1' twice\n")
+        assert run(capsys, "decide", "--input", str(path)) == expected
 
     def test_duplicate_source_names(self, tmp_path, capsys):
         doc = grid()

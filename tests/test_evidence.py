@@ -57,7 +57,7 @@ def random_mass(rng, frame, max_focal=4):
 
 class TestFrame:
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="^hypothesis labels must be distinct, got 'A' twice$"):
             Frame(("A", "B", "A"))
 
     def test_rejects_empty(self):

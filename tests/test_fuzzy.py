@@ -86,6 +86,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"finite, got {field} = {bad}"):
             TrapezoidalFuzzyNumber(**values)
 
+    def test_names_the_first_non_finite_value(self):
+        with pytest.raises(ValueError, match="finite, got b = nan"):
+            TrapezoidalFuzzyNumber(0.1, math.nan, 0.3, math.inf, -math.inf)
+
 
 class TestMembership:
     def test_zero_outside_support(self):

@@ -36,6 +36,8 @@ class TestDispersion:
     def test_degenerate_vector_has_zero_entropy(self):
         # relies on the 0 ln 0 = 0 convention
         assert dispersion((1.0, 0.0, 0.0)) == 0.0
+        # == 0.0 holds for -0.0 too, which a table prints as -0.0000
+        assert math.copysign(1.0, dispersion((1.0, 0.0, 0.0))) == 1.0
 
     def test_uniform_maximizes(self):
         assert dispersion((1 / 3,) * 3) == pytest.approx(math.log(3))

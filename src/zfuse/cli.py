@@ -71,13 +71,15 @@ def _alpha_joined(argv: list[str]) -> list[str]:
     argparse takes a value that starts with '-' and is not a plain decimal,
     such as -1e-3 or -inf, for an option, and fails before the range check
     could name it.  A token float() rejects, such as --format, is left to
-    argparse.
+    argparse.  An abbreviation argparse accepts, such as --alph, is joined
+    as written, and argparse resolves it.
     """
     joined = list(argv)
     # from the end, so that joining a pair shifts no token still to visit
     for i in range(len(joined) - 1, 0, -1):
-        if joined[i - 1] == "--alpha" and _is_number(joined[i]):
-            joined[i - 1 : i + 1] = [f"--alpha={joined[i]}"]
+        option = joined[i - 1]
+        if len(option) >= 3 and "--alpha".startswith(option) and _is_number(joined[i]):
+            joined[i - 1 : i + 1] = [f"{option}={joined[i]}"]
     return joined
 
 

@@ -1,10 +1,12 @@
 """Frames of discernment, basic probability assignments, and Dempster's rule.
 
 Focal sets are bitmasks over the frame's hypothesis indices, so the
-combination rule works for arbitrary subsets, not just singletons.  A mass
-function whose focal sets are all singletons or the whole frame, such as
-every BPA built from similarities, also carries its masses in frame order,
-and Dempster's rule runs on those vectors.
+combination rule works for arbitrary subsets, not just singletons.  The
+mass functions the library builds with mass only on singletons and the
+whole frame (every BPA from similarities, and every Dempster step on them)
+carry their masses as a frame-order vector, and Dempster's rule runs on
+those vectors.  A mass function built from a dict has no vector and fuses
+on the general rule.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ class Frame:
         hypotheses = self.hypotheses
         if mask < 0 or mask >> len(hypotheses):  # bits beyond the frame
             mask &= self.theta
-        if mask.bit_count() == 1:  # a singleton, the commonest focal set
-            return (hypotheses[mask.bit_length() - 1],)
         # visit the set bits only, highest first: testing all H bits would
         # make focal_items O(H^2)
         out = []
@@ -101,7 +101,7 @@ class _MassesFromVector:
     """
 
     def __get__(self, m: "MassFunction | None", owner: type | None = None) -> dict[int, float]:
-        vector = None if m is None else m.__dict__.get("_vector")
+        vector = None if m is None else m._vector
         if vector is None:
             # also read on the class, where it tells dataclass there is no default
             raise AttributeError("masses")
@@ -118,19 +118,20 @@ class MassFunction:
     compare equal regardless of how they were written down.  The masses
     dict is not to be changed after construction.
 
-    A singleton+frame mass function that the library builds from a
-    frame-order vector (see _from_vector) makes its masses dict the first
-    time it is read; its other methods read the vector.
+    Only a singleton+frame mass function that the library builds from a
+    frame-order vector (see _from_vector) has a vector: it makes its masses
+    dict the first time it is read, and its other methods read the vector.
+    Any other is built from a dict, which _cleaned checks in one O(F) loop.
     """
 
     frame: Frame
     # a descriptor, not a default: see _MassesFromVector
     masses: dict[int, float] = _MassesFromVector()
+    # (singleton masses in frame order, mass of the frame); set by _from_vector only
+    _vector = None
 
     def __post_init__(self) -> None:
-        masses, theta = self.masses, self.frame.theta
-        cleaned = dict(masses) if _plain(masses, theta) else _cleaned(masses, theta)
-        object.__setattr__(self, "masses", cleaned)
+        object.__setattr__(self, "masses", _cleaned(self.masses, self.frame.theta))
 
     @classmethod
     def from_items(
@@ -160,28 +161,6 @@ class MassFunction:
         # constructor builds the dict now, or raises its usual error
         return cls(frame, _vector_masses(frame, singles, theta_mass))
 
-    @cached_property
-    def _vector(self) -> tuple[list[float], float] | None:
-        """(singleton masses in frame order, mass of the frame), or None when
-        a focal set is neither a singleton nor the whole frame.
-
-        One built by _from_vector holds it from the start; any other reads
-        it here, once, from its masses.  Masks are placed by bit_length,
-        not hashed: hash(1 << i) is 1 << (i % 61), so wide frames fill
-        dicts with collision chains.
-        """
-        theta = self.frame.theta
-        singles = [0.0] * len(self.frame)
-        theta_mass = 0.0
-        for mask, value in self.masses.items():
-            if mask == theta:  # first: in a one-hypothesis frame theta is a singleton too
-                theta_mass = value
-            elif mask.bit_count() == 1:
-                singles[mask.bit_length() - 1] = value
-            else:
-                return None
-        return singles, theta_mass
-
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
         """Total ignorance: all mass on the whole frame."""
@@ -200,11 +179,9 @@ class MassFunction:
     def singleton_masses(self) -> dict[str, float]:
         """Mass of each hypothesis on its own, zero where not focal."""
         vector = self._vector
-        if vector is not None and len(self.frame) > 1:
+        if vector is not None:
             singles = vector[0]
         else:
-            # any structure, and the one-hypothesis frame, where the vector
-            # holds the singleton's mass as the frame's
             singles = [0.0] * len(self.frame)
             for mask, value in self.masses.items():
                 if mask.bit_count() == 1:
@@ -226,8 +203,9 @@ class MassFunction:
 
     def is_vacuous(self) -> bool:
         vector = self._vector
-        # no vector: some focal set is neither a singleton nor the frame
-        return vector is not None and vector[1] == 1.0 and not any(vector[0])
+        if vector is None:
+            return self.masses == {self.frame.theta: 1.0}
+        return vector[1] == 1.0 and not any(vector[0])
 
 
 def _vector_masses(frame: Frame, singles: list[float], theta_mass: float) -> dict[int, float]:
@@ -241,7 +219,7 @@ def _vector_masses(frame: Frame, singles: list[float], theta_mass: float) -> dic
 
 
 def _plain_vector(singles: list[float], theta_mass: float) -> bool:
-    """True when _vector_masses would give a dict that _plain accepts.
+    """True when _vector_masses would give a dict the constructor keeps unchanged.
 
     Float masses in [0, 1] summing to 1; zeros are fine, as they are left
     out of the dict.  The scans run in C.
@@ -252,27 +230,6 @@ def _plain_vector(singles: list[float], theta_mass: float) -> bool:
         return False
     # a NaN can slip past min and max, but not past this
     return abs(math.fsum(chain(singles, (theta_mass,))) - 1.0) <= 1e-12
-
-
-def _plain(masses: Mapping[int, float], theta: int) -> bool:
-    """True for the common case, which _cleaned would return unchanged.
-
-    Every mask an int in [1, theta], every mass a float in (0, 1], and the
-    masses summing to 1.  The scans run in C, in about a fifth of the
-    loop's time on a 1501-mass BPA.  Whatever fails here goes to the loop
-    in _cleaned, which gives the result or the error.
-    """
-    if not masses:
-        return False
-    values = masses.values()
-    if {*map(type, masses)} != {int} or {*map(type, values)} != {float}:
-        return False
-    if not (min(masses) >= 1 and max(masses) <= theta):
-        return False
-    if not (min(values) > 0.0 and max(values) <= 1.0):
-        return False
-    # a NaN can slip past min and max, but not past this
-    return abs(math.fsum(values) - 1.0) <= 1e-12
 
 
 def _cleaned(masses: Mapping[int, float], theta: int) -> dict[int, float]:
@@ -336,9 +293,10 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     does not depend on focal-set iteration order.  Raises
     TotalConflictError when k reaches 1 and nothing survives.
 
-    When every focal set of both operands is a singleton or the whole
-    frame, as in every BPA from bpa_from_similarities, a closed form costs
-    O(H) instead of O(F1 * F2) and gives the same masses.
+    When both operands carry a frame-order vector, as every BPA from
+    bpa_from_similarities and every step on them does, a closed form costs
+    O(H) instead of O(F1 * F2) and gives the same masses.  A mass function
+    built from a dict takes the general rule, whatever its focal sets.
     """
     if m1.frame != m2.frame:
         raise ValueError("cannot combine mass functions over different frames")

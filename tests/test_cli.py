@@ -642,6 +642,8 @@ class TestFailureModes:
         expected = (EXIT_INVALID, "", f"zfuse: alpha must lie in [0, 1], got {shown}\n")
         assert run(capsys, mode, *argv, "--alpha", value) == expected
         assert run(capsys, mode, *argv, f"--alpha={value}") == expected
+        for prefix in ("--alph", "--al", "--a"):  # abbreviations argparse accepts
+            assert run(capsys, mode, *argv, prefix, value) == expected
 
     def test_alpha_followed_by_an_option_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,11 +5,12 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import time
 
 import pytest
 
-from zfuse import evidence
+from zfuse import cli, evidence
 from zfuse.evidence import (
     CombinationOutcome,
     Frame,
@@ -20,6 +21,8 @@ from zfuse.evidence import (
     combine_all,
     dempster_combine,
 )
+from zfuse.pipeline import AssessmentMatrix, decide
+from zfuse.zmodel import LEXICON, ZNumber
 
 ABC = Frame(("A", "B", "C"))
 
@@ -122,6 +125,9 @@ class TestMassFunction:
         assert m.is_vacuous()
         assert m.theta_mass() == 1.0
         assert m.singleton_masses() == {"A": 0.0, "B": 0.0, "C": 0.0}
+        # all of the mass, exactly, and on the frame alone
+        assert not MassFunction(ABC, {ABC.theta: 1.0 - 1e-13}).is_vacuous()
+        assert not MassFunction(ABC, {0b001: 0.5, ABC.theta: 0.5}).is_vacuous()
 
     def test_focal_items_are_sorted_by_mask(self):
         m = MassFunction(ABC, {0b111: 0.5, 0b001: 0.25, 0b010: 0.25})
@@ -287,7 +293,8 @@ class TestCombineAll:
 
 
 def singleton_bpa(rng, frame, peaked):
-    """Random mass on one or more singletons plus the whole frame.
+    """Random mass on one or more singletons plus the whole frame, built
+    from its frame-order vector as the library builds its BPAs.
 
     A peaked BPA puts almost everything on one hypothesis, so two peaked
     BPAs that disagree conflict with k close to 1.
@@ -299,7 +306,9 @@ def singleton_bpa(rng, frame, peaked):
         masses = {1 << i: rng.random() for i in focal}
         masses[frame.theta] = rng.uniform(0.01, 1.0)
     total = math.fsum(masses.values())
-    return MassFunction(frame, {mask: v / total for mask, v in masses.items()})
+    # in a one-hypothesis frame the singleton is the frame: its mass is the frame's
+    singles = [0.0 if mask == frame.theta else masses.get(mask, 0.0) / total for mask in frame.singletons]
+    return MassFunction._from_vector(frame, singles, masses[frame.theta] / total)
 
 
 class TestSingletonFastPath:
@@ -331,7 +340,7 @@ class TestSingletonFastPath:
         assert max_k > 0.999
 
     def test_negligible_cross_terms_give_no_negative_conflict(self):
-        m = MassFunction(ABC, {0b001: 0.6, 0b010: 1e-17, 0b111: 0.4 - 1e-17})
+        m = MassFunction._from_vector(ABC, [0.6, 1e-17, 0.0], 0.4 - 1e-17)
         out = dempster_combine(m, m)
         assert out.conflict == pytest.approx(_combine_general(m, m).conflict, abs=1e-15)
         assert out.conflict >= 0.0
@@ -393,12 +402,25 @@ def validation_cases(rng):
         yield size, masses
 
 
+# every message the dict check can give
+VALIDATION_ERRORS = (
+    r"masses must be nonnegative, got (-\S+|nan)",
+    r"the empty set must carry no mass",
+    r"focal set 0x[0-9a-f]+ is outside the frame",
+    r"masses must sum to 1",
+    r"'<' not supported between instances of 'int' and 'str'",
+    # a float mask outside the frame fails while its message is formatted
+    r"Unknown format code 'x' for object of type 'float'",
+)
+
+
 class TestValidationFastPath:
-    """MassFunction's C-builtin scan against the loop it falls back to."""
+    """The constructor's one check of a masses dict, and the BPAs that the
+    library builds without it."""
 
     def test_same_masses_or_same_error_as_the_loop(self):
         rng = random.Random(11)
-        fast = 0
+        valid = spoiled = 0
         for size, masses in validation_cases(rng):
             frame = Frame(tuple(f"h{i}" for i in range(size)))
             try:
@@ -407,14 +429,32 @@ class TestValidationFastPath:
                 with pytest.raises(type(err)) as got:
                     MassFunction(frame, masses)
                 assert str(got.value) == str(err)
+                assert any(re.fullmatch(p, str(err)) for p in VALIDATION_ERRORS), str(err)
+                spoiled += 1
                 continue
-            fast += evidence._plain(masses, frame.theta)
             got = MassFunction(frame, masses).masses
-            assert got == expected
-            assert list(got) == list(expected)
+            assert got == expected == {mask: float(v) for mask, v in masses.items() if v}
+            assert list(got) == [mask for mask, v in masses.items() if v]
             assert all(type(v) is float for v in got.values())
             assert got is not masses
-        assert fast > 500  # both paths were exercised
+            valid += 1
+        assert valid > 500 and spoiled > 500
+
+    @pytest.mark.parametrize(
+        "masses, error, message",
+        [
+            ({0b001: 0.5, 0b010: 0.4}, ValueError, "masses must sum to 1"),
+            ({0b001: 1.2, 0b010: -0.2}, ValueError, "masses must be nonnegative, got -0.2"),
+            ({0b000: 0.3, 0b111: 0.7}, ValueError, "the empty set must carry no mass"),
+            ({0b1000: 1.0}, ValueError, "focal set 0x8 is outside the frame"),
+            ({0b001: math.inf}, ValueError, "masses must sum to 1"),
+            ({"A": 1.0}, TypeError, "'<' not supported between instances of 'int' and 'str'"),
+        ],
+        ids=["sum", "negative", "empty-set", "outside", "inf", "str-mask"],
+    )
+    def test_messages(self, masses, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            MassFunction(ABC, masses)
 
     def test_bpas_take_the_fast_path(self, monkeypatch):
         frame = Frame(tuple(f"h{i}" for i in range(300)))
@@ -439,17 +479,10 @@ class TestValidationFastPath:
 ONE = Frame(("only",))
 
 
-def read_vector(m):
-    """The vector the lazy read takes from the masses of a fresh copy of m."""
-    return MassFunction(m.frame, dict(m.masses))._vector
-
-
 def hashed_vector(m):
-    """The vector by dict lookups of 1 << i and theta: the oracle for the read."""
-    masses, size = m.masses, len(m.frame)
-    if size == 1:
-        return [0.0], masses.get(1, 0.0)
-    return [masses.get(1 << i, 0.0) for i in range(size)], masses.get(m.frame.theta, 0.0)
+    """The vector by dict lookups of 1 << i and theta: the oracle for an attached one."""
+    masses = m.masses
+    return [masses.get(1 << i, 0.0) for i in range(len(m.frame))], masses.get(m.frame.theta, 0.0)
 
 
 def hashed_singletons(m):
@@ -500,13 +533,15 @@ def general_mass(rng, frame):
 
 
 class TestOneHypothesisFrame:
-    """In a frame of one hypothesis, the singleton and the frame are both mask 1."""
+    """In a frame of one hypothesis, the singleton and the frame are both mask 1.
+    No mass function there has a vector, so every step takes the general rule."""
 
     @pytest.mark.parametrize("score", [0.0, 0.4, 1.0])
     def test_bpa_puts_everything_on_the_frame(self, score):
         m = bpa_from_similarities(ONE, [score])
         assert m.masses == {1: 1.0}
-        assert m._vector == read_vector(m) == ([0.0], 1.0)
+        assert m._vector is None
+        assert m.is_vacuous() and m.theta_mass() == 1.0
 
     def test_singleton_masses(self):
         assert bpa_from_similarities(ONE, [0.4]).singleton_masses() == {"only": 1.0}
@@ -515,11 +550,10 @@ class TestOneHypothesisFrame:
 
     def test_dempster_combine(self, monkeypatch):
         m = MassFunction(ONE, {1: 1.0 - 1e-13})  # not vacuous, so the step runs
-        expected = _combine_general(m, m)
-        monkeypatch.setattr(evidence, "_combine_general", None)
+        monkeypatch.setattr(evidence, "_combine_singletons", None)
         out = dempster_combine(m, m)
-        assert out.combined.masses == expected.combined.masses == {1: 1.0}
-        assert out.conflict == expected.conflict == 0.0
+        assert out.combined.masses == {1: 1.0}
+        assert out.conflict == 0.0
         fused = combine_all([bpa_from_similarities(ONE, [s]) for s in (0.4, 0.0, 1.0)])
         assert fused.combined.masses == {1: 1.0}
         assert fused.steps == (0.0, 0.0)
@@ -538,9 +572,11 @@ class TestFrameOrderVectors:
             bpas = [bpa_from_similarities(frame, row) for row in rows]
             fused = combine_all(bpas).combined
             for m in [*bpas, fused]:
-                if size > 1 and not m.is_vacuous():
-                    assert "_vector" in m.__dict__  # attached, not read lazily
-                assert m._vector == read_vector(m) == hashed_vector(m)
+                if size > 1:
+                    assert "_vector" in m.__dict__  # attached by _from_vector
+                    assert m._vector == hashed_vector(m)
+                else:
+                    assert m._vector is None
             assert bpas[-1].theta_mass() == 1.0
 
     def test_zero_frame_mass(self):
@@ -548,17 +584,14 @@ class TestFrameOrderVectors:
         scores = [0.0, 1.0] + [0.25] * 128
         m = bpa_from_similarities(frame, scores)
         assert frame.theta not in m.masses and 1 not in m.masses
-        assert m._vector == read_vector(m) == hashed_vector(m)
+        assert m._vector == hashed_vector(m)
         assert m._vector[1] == 0.0
 
     def test_general_structures_have_no_vector(self):
         rng = random.Random(62)
         for frame in seeded_frames(rng):
             m = general_mass(rng, frame)
-            structured = all(mask == frame.theta or mask.bit_count() == 1 for mask in m.masses)
-            assert (m._vector is not None) == structured
-            if structured:
-                assert m._vector == hashed_vector(m)
+            assert m._vector is None and "_vector" not in m.__dict__
 
     def test_fold_matches_the_general_rule(self, monkeypatch):
         rng = random.Random(63)
@@ -697,5 +730,59 @@ class TestLazyMasses:
         m = MassFunction._from_vector(ABC, [0.5, 0.0, 0.25], 0.25)
         n = MassFunction._from_vector(ABC, [0.5, 0, 0.25], 0.25)
         assert "masses" not in m.__dict__ and "masses" in n.__dict__
+        assert n._vector is None
         assert m == n
-        assert n._vector == m._vector and n.focal_items() == m.focal_items()
+        assert n.focal_items() == m.focal_items()
+
+
+def dict_twins(m):
+    """m rebuilt from its masses, by the constructor and by from_items."""
+    items = {labels[0] if len(labels) == 1 else labels: v for labels, v in m.focal_items()}
+    return MassFunction(m.frame, dict(m.masses)), MassFunction.from_items(m.frame, items)
+
+
+class TestDictBuiltEvidence:
+    """A singleton+frame mass function built from a dict has no vector: it
+    answers from its dict and fuses on the general rule, to the masses of
+    the closed form on its vector-built twin."""
+
+    def test_matches_the_vector_built_twin(self):
+        rng = random.Random(64)
+        for frame in seeded_frames(rng, count=8):
+            size = len(frame)
+            rows = similarity_rows(rng, size, rng.randint(2, 4)) + [[0.0] * size]
+            rows.insert(1, [0.0] * size)  # a vacuous BPA inside the fold
+            twins = [bpa_from_similarities(frame, row) for row in rows]
+            expected = combine_all(twins)
+            for ms in zip(*map(dict_twins, twins)):
+                assert all(m._vector is None for m in ms)
+                got = combine_all(ms)
+                assert got.combined._vector is None
+                assert got.combined.masses == expected.combined.masses
+                assert got.steps == pytest.approx(expected.steps, abs=1e-15)
+                for m, twin in zip((*ms, got.combined), (*twins, expected.combined)):
+                    assert m.is_vacuous() == twin.is_vacuous()
+                    assert m.theta_mass() == twin.theta_mass()
+                    assert m.singleton_masses() == twin.singleton_masses()
+                    assert m.focal_items() == twin.focal_items()
+
+    def test_decide_validates_no_dict(self, monkeypatch):
+        rng = random.Random(200)
+        shapes = [term.shape for term in LEXICON]
+        m = AssessmentMatrix(
+            frame=Frame(tuple(f"H{j}" for j in range(200))),
+            sources=("E0", "E1", "E2"),
+            cells=tuple(
+                tuple(ZNumber(rng.choice(shapes), rng.choice(shapes)) for _ in range(200)) for _ in range(3)
+            ),
+        )
+
+        def cleaned(masses, theta):
+            raise AssertionError("a masses dict was validated")
+
+        monkeypatch.setattr(evidence, "_cleaned", cleaned)
+        report = decide(m)
+        assert len(report.conflict_trace) == 2
+        for mode in ("decide", "bpa"):
+            build, table = cli._MODES[mode]
+            table(build(m, 0.7), ".4f")

@@ -4,8 +4,9 @@ Modes: decide (full fusion report), bpa (per-source assignments only),
 rank-fuzzy, rank-z, and weights.  Each mode builds one report, which goes
 to stdout as JSON or as a table read off it; identical input and options
 give byte-identical output.  Exit codes:
-0 ok, 2 unreadable or malformed input, 3 a validated invariant was broken,
-4 total conflict between sources.
+0 ok, 1 stdout was closed before the report was written, 2 unreadable or
+malformed input, 3 a validated invariant was broken, 4 total conflict
+between sources.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from .pipeline import AssessmentMatrix, decide, source_bpas
 from .zmodel import ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CONFLICT = 4
@@ -107,7 +110,17 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"zfuse: {err}", file=sys.stderr)
         return EXIT_INVALID
-    print(text)
+    except RecursionError:
+        # JSON nested shallow enough to load but too deep to quote in an error
+        print(f"zfuse: {args.input.name}: input nested too deep", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     return EXIT_OK
 
 
@@ -143,10 +156,13 @@ def _load_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InputError(f"{path.name}: invalid JSON: {err}") from None
         except UnicodeDecodeError as err:
             raise _not_utf8(path, err) from None
+        # malformed text (JSONDecodeError), an integer over Python's digit limit
+        # (a plain ValueError) or nesting too deep for the decoder; after the
+        # UnicodeDecodeError clause, as that is a ValueError too
+        except (ValueError, RecursionError) as err:
+            raise InputError(f"{path.name}: invalid JSON: {err}") from None
 
 
 def _label(value: str, what: str) -> str:

@@ -232,8 +232,16 @@ def _plain_vector(singles: list[float], theta_mass: float) -> bool:
     return abs(math.fsum(chain(singles, (theta_mass,))) - 1.0) <= 1e-12
 
 
+# the mask types of a valid dict, checked in one C scan; bool is an int too
+_INT_MASKS = frozenset((int, bool))
+
+
 def _cleaned(masses: Mapping[int, float], theta: int) -> dict[int, float]:
     """The masses as floats with zero entries dropped; raises if they are no BPA."""
+    if not _INT_MASKS.issuperset(map(type, masses)):
+        for mask in masses:
+            if isinstance(mask, float):
+                raise ValueError(f"focal set masks must be ints, got {mask!r}")
     cleaned: dict[int, float] = {}
     for mask, value in masses.items():
         value = float(value)

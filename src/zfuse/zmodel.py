@@ -59,7 +59,7 @@ def linguistic_term(name: str) -> LinguisticTerm:
     return term
 
 
-def ranking_score(f: TrapezoidalFuzzyNumber, weights: WeightVector | None = None) -> float:
+def ranking_score(f: TrapezoidalFuzzyNumber, weights: Sequence[float] | None = None) -> float:
     """Scalar score H(f): OWA blend of centroid, height, and compactness.
 
     The three factors are taken in that fixed order of importance, not
@@ -139,9 +139,9 @@ def _scored(
 ) -> tuple[float, float, float, bool]:
     """hA, hB, the deviation cut back to 1, and whether it was cut.
 
-    The one scoring kernel behind score_znumber and similarity: it unpacks
-    both weight tuples once per call and writes H out as ranking_score
-    does, term for term, so the two agree bit for bit.
+    The one scoring kernel behind score_znumber and similarity.  Both
+    component scores come from ranking_score, given the raw weight tuple,
+    whose length check and unpacking run in C.
     """
     if component_weights is None:
         component_weights = mem_weights(2, DEFAULT_ALPHA)
@@ -150,14 +150,10 @@ def _scored(
     cw = component_weights.weights
     if len(cw) != 2:
         raise ValueError(f"component blending needs a length-2 weight vector, got {len(cw)}")
-    sw = refs.score_weights.weights
-    if len(sw) != 3:
-        raise ValueError(f"ranking needs a length-3 weight vector, got {len(sw)}")
     w1, w2 = cw
-    s0, s1, s2 = sw
-    a, b = z.A, z.B
-    h_a = s0 * centroid(a) + s1 * a.w + s2 / (1.0 + spread(a))
-    h_b = s0 * centroid(b) + s1 * b.w + s2 / (1.0 + spread(b))
+    sw = refs.score_weights.weights
+    h_a = ranking_score(z.A, sw)
+    h_b = ranking_score(z.B, sw)
     # products, not ** 2: a far-off shape overflows to inf instead of raising,
     # and a zero weight times that gap stays 0
     hmax = refs.hmax

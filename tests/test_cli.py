@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfuse import cli
-from zfuse.cli import EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
+from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
 from zfuse.evidence import Frame, MassFunction, combine_all
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.zmodel import LEXICON
@@ -562,6 +562,14 @@ class TestShapeScan:
                 assert (out, err) == ("", f"zfuse: {message}\n"), shape
 
 
+# an integer over Python's default limit for converting digits to int (4300)
+LONG_INT = "9" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INT),
+    reason="this Python converts 5000-digit integers",
+)
+
+
 class TestFailureModes:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "decide", "--input", "/no/such/file.json")
@@ -832,6 +840,54 @@ class TestFailureModes:
         assert out == ""
         assert err.startswith(f"zfuse: {name}: not UTF-8 text: ")
 
+    @pytest.mark.parametrize("mode", ["decide", "bpa", "rank-fuzzy", "rank-z"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("deep.json", "[" * 100_000 + "]" * 100_000),
+            pytest.param("long-alpha.json", '{"alpha": ' + LONG_INT + ', "items": []}', marks=needs_digit_limit),
+            pytest.param("long-entry.json", "[[0, 0, 0, " + LONG_INT + ", 1]]", marks=needs_digit_limit),
+        ],
+        ids=["deep", "long-alpha", "long-entry"],
+    )
+    def test_json_the_decoder_rejects_names_the_file(self, tmp_path, capsys, mode, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, mode, "--input", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"zfuse: {name}: invalid JSON: ")
+
+    def test_nesting_that_loads_but_is_too_deep_to_quote(self, tmp_path, capsys):
+        # at some depth the decoder still loads the entry, and quoting it in
+        # the error message one stack frame deeper runs out of recursion
+        path = tmp_path / "nested.json"
+        for depth in range(sys.getrecursionlimit()):
+            path.write_text("[[" + "[" * depth + "]" * depth + ", 0, 0, 0, 1]]")
+            code, out, err = run(capsys, "rank-fuzzy", "--input", str(path))
+            assert (code, out) == (EXIT_PARSE, ""), depth
+            assert err.startswith(("zfuse: items[0]: expected a number", "zfuse: nested.json: ")), depth
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["weights", "--n", "3"], ["decide", "--format", "json", "--input", MEDICAL]],
+        ids=["weights", "decide-json"],
+    )
+    def test_closed_stdout_exits_one_without_a_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the start, so that the first write fails
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "zfuse", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_CLOSED, b"")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["decide"])  # --input is required
@@ -917,6 +973,51 @@ edge_alphas = st.sampled_from(
 ) | st.floats(0.0, 1.0)
 
 
+# Raw bytes for TestFuzz: the fixtures and item lists built from their
+# cells, mutated at the byte level into documents no generator above makes.
+# The inserts are a NUL, invalid UTF-8 and a byte order mark.
+FIXTURE_BYTES = [Path(p).read_bytes() for p in (MEDICAL, RISK, MEDICAL_CSV)] + [
+    json.dumps({"items": [cell for s in doc["sources"] for cell in s["assessments"].values()]}).encode()
+    for doc in (json.loads(Path(p).read_text()) for p in (MEDICAL, RISK))
+] + [json.dumps(SHAPES).encode()]
+RAW_INSERTS = [b"\x00", b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80", b"\xef\xbb\xbf"]
+
+
+@st.composite
+def raw_documents(draw):
+    """A fixture's bytes after one to three mutations, kept under 1 MB."""
+    data = draw(st.sampled_from(FIXTURE_BYTES))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["truncate", "splice", "duplicate", "nest", "digits", "insert"]))
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "splice":
+            other = draw(st.sampled_from(FIXTURE_BYTES))
+            data = data[:at] + other[draw(st.integers(0, len(other))) :]
+        elif kind == "duplicate":
+            end = draw(st.integers(at, len(data)))
+            data = data[:end] + data[at:end] + data[end:]
+        elif kind == "nest":
+            # after a ':', ',' or '[' the decoder descends into the nest at once
+            starts = [i + 1 for i, byte in enumerate(data) if byte in b":,["]
+            if starts:
+                at = draw(st.sampled_from(starts))
+            depth = draw(st.sampled_from([2, 50, 900, 1000, 100_000]))
+            end = draw(st.integers(at, len(data)))
+            data = data[:at] + b"[" * depth + data[at:end] + b"]" * depth + data[end:]
+        elif kind == "digits":
+            # at a digit, or where a value starts, the run is read as a number
+            digits = [i for i, byte in enumerate(data) if byte in b"0123456789:,["]
+            if digits:
+                at = draw(st.sampled_from(digits))
+            data = data[:at] + b"9" * draw(st.sampled_from([20, 400, 4300, 5000])) + data[at:]
+        else:
+            data = data[:at] + draw(st.sampled_from(RAW_INSERTS)) + data[at:]
+    assert len(data) < 1 << 20
+    return data
+
+
 def assert_clean_exit(mode, path, fmt, precision, *extra):
     """The CLI decides, or exits 2, 3 or 4 with nothing on stdout."""
     argv = [mode, "--input", str(path)] if path is not None else [mode]
@@ -986,3 +1087,20 @@ class TestFuzz:
     @settings(max_examples=100, deadline=None)
     def test_every_weights_run_exits_cleanly(self, n, alpha, fmt, precision):
         assert_clean_exit("weights", None, fmt, precision, "--n", str(n), f"--alpha={alpha!r}")
+
+    @given(raw_documents(), st.sampled_from(["table", "json"]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_mutated_file_decides_or_exits_cleanly(self, tmp_path_factory, data, fmt):
+        folder = tmp_path_factory.getbasetemp()
+        json_path, csv_path = folder / "fuzz_raw.json", folder / "fuzz_raw.csv"
+        json_path.write_bytes(data)
+        csv_path.write_bytes(data)
+        for mode, path in (
+            ("decide", json_path),
+            ("bpa", json_path),
+            ("rank-z", json_path),
+            ("rank-fuzzy", json_path),
+            ("decide", csv_path),
+            ("bpa", csv_path),
+        ):
+            assert_clean_exit(mode, path, fmt, 4)

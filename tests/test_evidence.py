@@ -409,8 +409,7 @@ VALIDATION_ERRORS = (
     r"focal set 0x[0-9a-f]+ is outside the frame",
     r"masses must sum to 1",
     r"'<' not supported between instances of 'int' and 'str'",
-    # a float mask outside the frame fails while its message is formatted
-    r"Unknown format code 'x' for object of type 'float'",
+    r"focal set masks must be ints, got \S+",
 )
 
 
@@ -432,6 +431,7 @@ class TestValidationFastPath:
                 assert any(re.fullmatch(p, str(err)) for p in VALIDATION_ERRORS), str(err)
                 spoiled += 1
                 continue
+            assert not any(isinstance(mask, float) for mask in masses)
             got = MassFunction(frame, masses).masses
             assert got == expected == {mask: float(v) for mask, v in masses.items() if v}
             assert list(got) == [mask for mask, v in masses.items() if v]
@@ -449,8 +449,14 @@ class TestValidationFastPath:
             ({0b1000: 1.0}, ValueError, "focal set 0x8 is outside the frame"),
             ({0b001: math.inf}, ValueError, "masses must sum to 1"),
             ({"A": 1.0}, TypeError, "'<' not supported between instances of 'int' and 'str'"),
+            ({0b001: 0.35, 62.0: 0.65}, ValueError, "focal set masks must be ints, got 62.0"),
+            ({0b001: 0.35, 2.0: 0.65}, ValueError, "focal set masks must be ints, got 2.0"),
+            ({0b001: 0.35, 2.0: 0.0, 0b010: 0.65}, ValueError, "focal set masks must be ints, got 2.0"),
         ],
-        ids=["sum", "negative", "empty-set", "outside", "inf", "str-mask"],
+        ids=[
+            "sum", "negative", "empty-set", "outside", "inf", "str-mask",
+            "float-mask-outside", "float-mask", "float-mask-zero-mass",
+        ],
     )
     def test_messages(self, masses, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

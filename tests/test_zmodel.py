@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfuse.fuzzy import TrapezoidalFuzzyNumber, centroid, spread
+from zfuse import zmodel
 from zfuse.owa import mem_weights
 from zfuse.zmodel import (
     LEXICON,
@@ -212,13 +213,13 @@ class TestRankZnumbers:
 
 
 def reference_score(z, component_weights, refs):
-    """Scoring as it was before the shared kernel: two ranking_score calls.
+    """Scoring with H spelled out here, not taken from ranking_score.
 
     Returns (hA, hB, deviation, clamped).
     """
     w1, w2 = component_weights
-    h_a = ranking_score(z.A, refs.score_weights)
-    h_b = ranking_score(z.B, refs.score_weights)
+    s0, s1, s2 = refs.score_weights
+    h_a, h_b = (s0 * centroid(f) + s1 * f.w + s2 / (1.0 + spread(f)) for f in (z.A, z.B))
     d_a = h_a - refs.hmax
     d_b = h_b - refs.hmax
     d_ref = refs.hmin - refs.hmax
@@ -253,6 +254,22 @@ class TestScoringKernel:
             assert score.similarity == 1.0 - score.deviation
             clamped += score.clamped
         assert clamped > 0
+
+    @pytest.mark.parametrize("score", [similarity, score_znumber])
+    def test_each_component_is_scored_by_ranking_score(self, monkeypatch, score):
+        weights = mem_weights(2, 0.7)
+        refs = ReferenceBounds.from_alpha(0.7)
+        calls = []
+
+        def counting(f, score_weights=None):
+            calls.append(f)
+            return ranking_score(f, score_weights)
+
+        monkeypatch.setattr(zmodel, "ranking_score", counting)
+        for z in scoring_cases(random.Random(3)):
+            calls.clear()
+            score(z, weights, refs)
+            assert calls == [z.A, z.B]
 
     def test_similarity_checks_its_weights(self):
         z = ZNumber(term("High"), term("High"))

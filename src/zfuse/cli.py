@@ -119,7 +119,8 @@ def run(args: argparse.Namespace) -> int:
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the flush at
         # interpreter exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_CLOSED
     return EXIT_OK
 
@@ -277,16 +278,25 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
 
 def _load_csv_matrix(path: Path) -> AssessmentMatrix:
     """CSV grid: header names the hypotheses, then two rows (A, B) per source."""
+    # (first line, stripped cells) of each row that is not blank; errors name
+    # the line a row starts on, counting blank lines
+    rows: list[tuple[int, list[str]]] = []
     with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+            line = 1
+            for row in reader:
+                cells = [cell.strip() for cell in row]
+                if any(cells):
+                    rows.append((line, cells))
+                line = reader.line_num + 1
         except UnicodeDecodeError as err:
             raise _not_utf8(path, err) from None
         except csv.Error as err:  # a NUL byte, before Python 3.11
             raise InputError(f"{path.name}: {err}") from None
     if not rows:
         raise InputError(f"{path.name}: empty file")
-    header = [cell.strip() for cell in rows[0]]
+    header = rows[0][1]
     if len(header) < 2:
         raise InputError(f"{path.name}: header must name a source column and the hypotheses")
     for j, h in enumerate(header[1:], start=2):
@@ -297,24 +307,22 @@ def _load_csv_matrix(path: Path) -> AssessmentMatrix:
         raise InputError(f"{path.name}: expected two rows (A then B) per source")
     labels: list[str] = []
     grid: list[tuple[ZNumber, ...]] = []
-    for k in range(0, len(data), 2):
-        row_a = [cell.strip() for cell in data[k]]
-        row_b = [cell.strip() for cell in data[k + 1]]
-        line = k + 2  # 1-based, after the header
-        _label(row_a[0], f"{path.name}: line {line}: the source name")
-        if len(row_a) != len(header) or len(row_b) != len(header):
-            raise InputError(f"{path.name}: line {line}: expected {len(header)} columns")
+    for (line_a, row_a), (line_b, row_b) in zip(data[::2], data[1::2]):
+        _label(row_a[0], f"{path.name}: line {line_a}: the source name")
+        for line, row in ((line_a, row_a), (line_b, row_b)):
+            if len(row) != len(header):
+                raise InputError(f"{path.name}: line {line}: expected {len(header)} columns")
         if row_a[0] != row_b[0]:
             raise InputError(
-                f"{path.name}: line {line}: rows must pair up per source, "
+                f"{path.name}: line {line_b}: rows must pair up per source, "
                 f"got {row_a[0]!r} then {row_b[0]!r}"
             )
         cells = tuple(
             ZNumber(
-                A=_parse_shape(a, f"{path.name}: line {line} ({row_a[0]})"),
-                B=_parse_shape(b, f"{path.name}: line {line + 1} ({row_a[0]})"),
+                A=_parse_shape(a, f"{path.name}: line {line_a} ({row_a[0]}/{h})"),
+                B=_parse_shape(b, f"{path.name}: line {line_b} ({row_a[0]}/{h})"),
             )
-            for a, b in zip(row_a[1:], row_b[1:])
+            for h, a, b in zip(header[1:], row_a[1:], row_b[1:])
         )
         labels.append(row_a[0])
         grid.append(cells)
@@ -381,9 +389,8 @@ def _rank_fuzzy_report(items: list, alpha: float) -> dict:
 
 def _rank_z_report(items: list, alpha: float) -> dict:
     znumbers = [_parse_cell(item, f"items[{k}]") for k, item in enumerate(items)]
-    weights = mem_weights(2, alpha)
     refs = ReferenceBounds.from_alpha(alpha)
-    scored = [score_znumber(z, weights, refs) for z in znumbers]
+    scored = [score_znumber(z, refs) for z in znumbers]
     entries = [
         {"similarity": s.similarity, "deviation": s.deviation, "hA": s.hA, "hB": s.hB, "clamped": s.clamped}
         for s in scored

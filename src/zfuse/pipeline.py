@@ -100,7 +100,6 @@ def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple
     most 81 pairs however large it is; numeric shapes are distinct objects
     and score once per cell.
     """
-    component_weights = mem_weights(2, alpha)
     refs = ReferenceBounds.from_alpha(alpha)
     # keyed on identity, not value: hashing a frozen dataclass costs more
     # than scoring saves on numeric grids, and the matrix keeps every shape
@@ -113,7 +112,7 @@ def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple
             key = (id(z.A), id(z.B))
             s = memo.get(key)
             if s is None:
-                s = memo[key] = similarity(z, component_weights, refs)
+                s = memo[key] = similarity(z, refs)
             sims.append(s)
         bpas.append(bpa_from_similarities(matrix.frame, sims))
     return tuple(bpas)

@@ -94,15 +94,21 @@ _WORST = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class ReferenceBounds:
-    """Component scores of the ideal and anti-ideal Z-numbers.
+    """Everything scoring needs for one alpha.
 
     hmax and hmin are the H scores of the ideal's and anti-ideal's
     components under score_weights; deviations are normalized against them.
+    component_weights blends the deviations of A and B.
     """
 
     hmax: float
     hmin: float
     score_weights: WeightVector
+    component_weights: WeightVector
+
+    def __post_init__(self) -> None:
+        if len(self.component_weights) != 2:
+            raise ValueError(f"component blending needs a length-2 weight vector, got {len(self.component_weights)}")
 
     @classmethod
     def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
@@ -116,7 +122,7 @@ class ReferenceBounds:
                 f"score weights for alpha {score_weights.alpha} put no weight on the centroid, "
                 "so the ideal and anti-ideal score alike and deviation is undefined"
             )
-        return cls(hmax=hmax, hmin=hmin, score_weights=score_weights)
+        return cls(hmax=hmax, hmin=hmin, score_weights=score_weights, component_weights=mem_weights(2, alpha))
 
 
 @dataclass(frozen=True)
@@ -134,23 +140,16 @@ class ZScore:
     clamped: bool = False
 
 
-def _scored(
-    z: ZNumber, component_weights: WeightVector | None, refs: ReferenceBounds | None
-) -> tuple[float, float, float, bool]:
+def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, float, bool]:
     """hA, hB, the deviation cut back to 1, and whether it was cut.
 
     The one scoring kernel behind score_znumber and similarity.  Both
     component scores come from ranking_score, given the raw weight tuple,
     whose length check and unpacking run in C.
     """
-    if component_weights is None:
-        component_weights = mem_weights(2, DEFAULT_ALPHA)
     if refs is None:
         refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
-    cw = component_weights.weights
-    if len(cw) != 2:
-        raise ValueError(f"component blending needs a length-2 weight vector, got {len(cw)}")
-    w1, w2 = cw
+    w1, w2 = refs.component_weights.weights
     sw = refs.score_weights.weights
     h_a = ranking_score(z.A, sw)
     h_b = ranking_score(z.B, sw)
@@ -168,35 +167,25 @@ def _scored(
     return h_a, h_b, dev, False
 
 
-def score_znumber(
-    z: ZNumber,
-    component_weights: WeightVector | None = None,
-    refs: ReferenceBounds | None = None,
-) -> ZScore:
+def score_znumber(z: ZNumber, refs: ReferenceBounds | None = None) -> ZScore:
     """Deviation of z from the ideal and the complementary similarity.
 
     Deviation is the component-weighted root mean square distance of
     (H(A), H(B)) from the ideal point, scaled so the anti-ideal scores
-    exactly 1.  Pass component_weights and refs built from the same alpha.
+    exactly 1.  refs defaults to ReferenceBounds.from_alpha(DEFAULT_ALPHA).
     """
-    h_a, h_b, dev, clamped = _scored(z, component_weights, refs)
+    h_a, h_b, dev, clamped = _scored(z, refs)
     return ZScore(hA=h_a, hB=h_b, deviation=dev, similarity=1.0 - dev, clamped=clamped)
 
 
-def similarity(
-    z: ZNumber,
-    component_weights: WeightVector | None = None,
-    refs: ReferenceBounds | None = None,
-) -> float:
+def similarity(z: ZNumber, refs: ReferenceBounds | None = None) -> float:
     """score_znumber(...).similarity, without building the ZScore."""
-    return 1.0 - _scored(z, component_weights, refs)[2]
+    return 1.0 - _scored(z, refs)[2]
 
 
 def rank_znumbers(
-    znumbers: Sequence[ZNumber],
-    component_weights: WeightVector | None = None,
-    refs: ReferenceBounds | None = None,
+    znumbers: Sequence[ZNumber], refs: ReferenceBounds | None = None
 ) -> list[tuple[int, float]]:
     """(index, similarity) pairs ordered best first; ties keep input order."""
-    sims = [similarity(z, component_weights, refs) for z in znumbers]
+    sims = [similarity(z, refs) for z in znumbers]
     return [(i, sims[i]) for i in best_first(sims)]

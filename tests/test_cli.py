@@ -20,7 +20,7 @@ from zfuse import cli
 from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
 from zfuse.evidence import Frame, MassFunction, combine_all
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
-from zfuse.zmodel import LEXICON
+from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, linguistic_term, rank_znumbers
 
 MEDICAL = str(files("zfuse") / "fixtures" / "medical.json")
 MEDICAL_CSV = str(files("zfuse") / "fixtures" / "medical.csv")
@@ -176,6 +176,16 @@ class TestRankModes:
         assert ranking[0]["index"] == 1
         assert ranking[0]["similarity"] == pytest.approx(0.9662, abs=1e-3)
         assert ranking[1]["similarity"] == pytest.approx(0.2599, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.7", "1"])
+    def test_rank_z_scores_as_the_library_does(self, tmp_path, capsys, alpha):
+        items = [{"A": a, "B": b} for a in ("Low", "Medium", "Very-high") for b in ("Low", "High")]
+        path = tmp_path / "zs.json"
+        path.write_text(json.dumps(items))
+        _, out, _ = run(capsys, "rank-z", "--input", str(path), "--alpha", alpha, "--format", "json")
+        got = [(entry["index"], entry["similarity"]) for entry in json.loads(out)["ranking"]]
+        zs = [ZNumber(linguistic_term(i["A"]).shape, linguistic_term(i["B"]).shape) for i in items]
+        assert got == rank_znumbers(zs, ReferenceBounds.from_alpha(float(alpha)))
 
     def test_alpha_in_file_is_honored(self, tmp_path, capsys):
         neutral = {"items": ["Very-high", "Low"], "alpha": 0.5}
@@ -804,6 +814,31 @@ class TestFailureModes:
             assert err == f"zfuse: {where}\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("source,H1,H2\n\n\nE1,Low,Hgh\nE1,Low,High\n", "line 4 (E1/H2): unknown linguistic term 'Hgh'"),
+            ("source,H1,H2\n\nE1,Low,High\n\nE1,Hgh,High\n", "line 5 (E1/H1): unknown linguistic term 'Hgh'"),
+            (
+                'source,H1,H2\nE1,"Low\n",High\nE1,Low,High\nE2,Low,Hgh\nE2,Low,High\n',
+                "line 5 (E2/H2): unknown linguistic term 'Hgh'",
+            ),
+            ('source,H1,H2\nE1,"Hgh\n",High\nE1,Low,High\n', "line 2 (E1/H1): unknown linguistic term 'Hgh'"),
+            ("source,H1,H2\n\nE1,Low,High\nE1,Low\n", "line 4: expected 3 columns\n"),
+            (
+                "source,H1,H2\n\nE1,Low,High\n\nE2,Low,High\n",
+                "line 5: rows must pair up per source, got 'E1' then 'E2'\n",
+            ),
+        ],
+        ids=["blank-lines", "blank-between-pair", "quoted-newline", "in-quoted-row", "columns", "pairing"],
+    )
+    def test_csv_errors_name_the_line_and_cell(self, tmp_path, capsys, text, message):
+        path = tmp_path / "doc.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"zfuse: doc.csv: {message}")
+
+    @pytest.mark.parametrize(
         "edit, where",
         [
             (lambda doc: doc["frame"].__setitem__(1, ""), 'doc.json: "frame"[1] is blank'),
@@ -887,6 +922,22 @@ class TestFailureModes:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (EXIT_CLOSED, b"")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc to count open fds")
+    def test_closed_stdout_leaks_no_fd(self, tmp_path, monkeypatch):
+        class ClosedPipe(io.TextIOWrapper):
+            def write(self, text):
+                raise BrokenPipeError
+
+        # a file of its own, so that pointing it at devnull leaves pytest's fd 1 alone
+        stdout = ClosedPipe(open(tmp_path / "out.txt", "wb"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            assert main(["weights", "--n", "3"]) == EXIT_CLOSED
+        after = len(os.listdir("/proc/self/fd"))
+        stdout.close()
+        assert after == before
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,6 @@ import pytest
 from zfuse import cli, evidence, pipeline
 from zfuse.evidence import Frame, TotalConflictError, bpa_from_similarities
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
-from zfuse.owa import mem_weights
 from zfuse.pipeline import AssessmentMatrix, decide, source_bpas, strip_reliability
 from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, linguistic_term, score_znumber, similarity
 
@@ -136,6 +135,13 @@ class TestDecideMedical:
         assert len(report.score_weights) == 3
         assert report.component_weights.weights == (0.7, 0.3)
         assert report.sources == EXPERTS
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_echoes_the_weights_scoring_used(self, alpha):
+        report = decide(medical_matrix(), alpha)
+        refs = ReferenceBounds.from_alpha(alpha)
+        assert report.score_weights == refs.score_weights
+        assert report.component_weights == refs.component_weights
 
     def test_source_order_does_not_matter(self):
         m = medical_matrix()
@@ -315,10 +321,9 @@ class TestSourceBpas:
 
 def unmemoised_bpas(matrix, alpha=0.7):
     """source_bpas without the memo: one similarity call per cell."""
-    weights = mem_weights(2, alpha)
     refs = ReferenceBounds.from_alpha(alpha)
     return tuple(
-        bpa_from_similarities(matrix.frame, [similarity(z, weights, refs) for z in row])
+        bpa_from_similarities(matrix.frame, [similarity(z, refs) for z in row])
         for row in matrix.cells
     )
 

@@ -1,5 +1,6 @@
 """Z-numbers: lexicon, ranking scores, deviation, and similarity."""
 
+import dataclasses
 import math
 import random
 
@@ -117,6 +118,10 @@ class TestReferenceBounds:
         refs = ReferenceBounds.from_alpha(0.6)
         assert refs.score_weights == mem_weights(3, 0.6)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    def test_carries_the_component_weights_of_its_alpha(self, alpha):
+        assert ReferenceBounds.from_alpha(alpha).component_weights == mem_weights(2, alpha)
+
     @pytest.mark.parametrize("alpha", [0.0, 1e-12])
     def test_no_centroid_weight_is_rejected(self, alpha):
         # the centroid weight is exactly 0 here, so the ideal and the
@@ -172,9 +177,8 @@ class TestDeviationAndSimilarity:
         assert score.similarity == 0.0
 
     def test_needs_two_component_weights(self):
-        z = ZNumber(term("High"), term("High"))
         with pytest.raises(ValueError, match="length-2"):
-            score_znumber(z, mem_weights(3, 0.7))
+            dataclasses.replace(ReferenceBounds.from_alpha(0.7), component_weights=mem_weights(3, 0.7))
 
     @given(st.sampled_from(LEXICON), st.sampled_from(LEXICON), st.sampled_from(LEXICON))
     @settings(max_examples=200)
@@ -248,8 +252,8 @@ class TestScoringKernel:
         refs = ReferenceBounds.from_alpha(alpha)
         clamped = 0
         for z in scoring_cases(random.Random(int(alpha * 10))):
-            score = score_znumber(z, weights, refs)
-            assert similarity(z, weights, refs) == score.similarity
+            score = score_znumber(z, refs)
+            assert similarity(z, refs) == score.similarity
             assert (score.hA, score.hB, score.deviation, score.clamped) == reference_score(z, weights, refs)
             assert score.similarity == 1.0 - score.deviation
             clamped += score.clamped
@@ -257,7 +261,6 @@ class TestScoringKernel:
 
     @pytest.mark.parametrize("score", [similarity, score_znumber])
     def test_each_component_is_scored_by_ranking_score(self, monkeypatch, score):
-        weights = mem_weights(2, 0.7)
         refs = ReferenceBounds.from_alpha(0.7)
         calls = []
 
@@ -268,17 +271,28 @@ class TestScoringKernel:
         monkeypatch.setattr(zmodel, "ranking_score", counting)
         for z in scoring_cases(random.Random(3)):
             calls.clear()
-            score(z, weights, refs)
+            score(z, refs)
             assert calls == [z.A, z.B]
 
     def test_similarity_checks_its_weights(self):
         z = ZNumber(term("High"), term("High"))
-        with pytest.raises(ValueError, match="length-2"):
-            similarity(z, mem_weights(3, 0.7))
         bad_refs = ReferenceBounds(
             hmax=1.0,
             hmin=0.0,
             score_weights=mem_weights(2, 0.7),
+            component_weights=mem_weights(2, 0.7),
         )
         with pytest.raises(ValueError, match="length-3"):
-            similarity(z, mem_weights(2, 0.7), bad_refs)
+            similarity(z, bad_refs)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_refs_alone_fix_both_weight_vectors(self, alpha):
+        # one ReferenceBounds carries the factor and the component weights
+        # of its alpha; neither falls back to the default alpha
+        refs = ReferenceBounds.from_alpha(alpha)
+        for a in LEXICON:
+            for b in LEXICON:
+                z = ZNumber(a.shape, b.shape)
+                want = reference_score(z, mem_weights(2, alpha), refs)
+                assert score_znumber(z, refs=refs).deviation == want[2]
+                assert rank_znumbers([z], refs=refs) == [(0, 1.0 - want[2])]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -278,6 +277,9 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
 
 def _load_csv_matrix(path: Path) -> AssessmentMatrix:
     """CSV grid: header names the hypotheses, then two rows (A, B) per source."""
+    # imported here, so that JSON input and the other modes never load it
+    import csv
+
     # (first line, stripped cells) of each row that is not blank; errors name
     # the line a row starts on, counting blank lines
     rows: list[tuple[int, list[str]]] = []

@@ -12,11 +12,12 @@ on the general rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import mul, neg, truediv
-from typing import Iterable, Mapping, Sequence
+
+from ._frozen import Frozen, set_field
 
 _TOTAL_CONFLICT_EPS = 1e-12
 
@@ -30,22 +31,22 @@ class TotalConflictError(ValueError):
         self.right = right
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """Ordered, distinct hypothesis labels; subsets are bitmasks over them."""
 
-    hypotheses: tuple[str, ...]
+    __match_args__ = ("hypotheses",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        if not self.hypotheses:
+    def __init__(self, hypotheses: Iterable[str]) -> None:
+        hypotheses = tuple(hypotheses)
+        if not hypotheses:
             raise ValueError("a frame needs at least one hypothesis")
-        if len(set(self.hypotheses)) != len(self.hypotheses):
+        if len(set(hypotheses)) != len(hypotheses):
             seen: set[str] = set()
-            for label in self.hypotheses:
+            for label in hypotheses:
                 if label in seen:
                     raise ValueError(f"hypothesis labels must be distinct, got {label!r} twice")
                 seen.add(label)
+        set_field(self, "hypotheses", hypotheses)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -103,15 +104,14 @@ class _MassesFromVector:
     def __get__(self, m: "MassFunction | None", owner: type | None = None) -> dict[int, float]:
         vector = None if m is None else m._vector
         if vector is None:
-            # also read on the class, where it tells dataclass there is no default
+            # also read on the class, which has no masses
             raise AttributeError("masses")
         masses = _vector_masses(m.frame, *vector)
-        object.__setattr__(m, "masses", masses)
+        set_field(m, "masses", masses)
         return masses
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(Frozen):
     """A basic probability assignment: mass per focal set, summing to one.
 
     Zero-mass entries are dropped at construction, so equal assignments
@@ -124,14 +124,16 @@ class MassFunction:
     Any other is built from a dict, which _cleaned checks in one O(F) loop.
     """
 
-    frame: Frame
-    # a descriptor, not a default: see _MassesFromVector
-    masses: dict[int, float] = _MassesFromVector()
+    __match_args__ = ("frame", "masses")
+
+    # hidden by the masses dict __init__ stores on the instance: see _MassesFromVector
+    masses = _MassesFromVector()
     # (singleton masses in frame order, mass of the frame); set by _from_vector only
     _vector = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masses", _cleaned(self.masses, self.frame.theta))
+    def __init__(self, frame: Frame, masses: Mapping[int, float]) -> None:
+        set_field(self, "frame", frame)
+        set_field(self, "masses", _cleaned(masses, frame.theta))
 
     @classmethod
     def from_items(
@@ -154,8 +156,8 @@ class MassFunction:
         """
         if len(singles) > 1 and _plain_vector(singles, theta_mass):
             m = cls.__new__(cls)
-            object.__setattr__(m, "frame", frame)
-            object.__setattr__(m, "_vector", (singles, theta_mass))
+            set_field(m, "frame", frame)
+            set_field(m, "_vector", (singles, theta_mass))
             return m
         # the one-hypothesis frame, or a vector that a scan rejects: the
         # constructor builds the dict now, or raises its usual error
@@ -259,17 +261,19 @@ def _cleaned(masses: Mapping[int, float], theta: int) -> dict[int, float]:
     return cleaned
 
 
-@dataclass(frozen=True)
-class CombinationOutcome:
+class CombinationOutcome(Frozen):
     """A combined mass function plus the conflict seen along the way.
 
     conflict is the k of the final pairwise step; steps holds one k per
     fold step when several functions were combined.
     """
 
-    combined: MassFunction
-    conflict: float
-    steps: tuple[float, ...] = ()
+    __match_args__ = ("combined", "conflict", "steps")
+
+    def __init__(self, combined: MassFunction, conflict: float, steps: tuple[float, ...] = ()) -> None:
+        set_field(self, "combined", combined)
+        set_field(self, "conflict", conflict)
+        set_field(self, "steps", steps)
 
 
 def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction:

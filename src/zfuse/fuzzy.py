@@ -8,36 +8,33 @@ Any segment may have zero width, down to a point number a = b = c = d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._frozen import Frozen, set_field
 
 _INV_SQRT12 = 1.0 / math.sqrt(12.0)
 
 
-@dataclass(frozen=True)
-class TrapezoidalFuzzyNumber:
+class TrapezoidalFuzzyNumber(Frozen):
     """Trapezoid vertices (a, b, c, d) plus plateau height w in (0, 1]."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    w: float = 1.0
+    __match_args__ = ("a", "b", "c", "d", "w")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: float, b: float, c: float, d: float, w: float = 1.0) -> None:
         isfinite = math.isfinite
-        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c) and isfinite(self.d) and isfinite(self.w)):
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(w)):
             # the first value that is not finite, named
-            for name in ("a", "b", "c", "d", "w"):
-                value = getattr(self, name)
+            for name, value in zip(self.__match_args__, (a, b, c, d, w)):
                 if not isfinite(value):
                     raise ValueError(f"fuzzy number values must be finite, got {name} = {value}")
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ValueError(
-                "vertices must satisfy a <= b <= c <= d, got "
-                f"({self.a}, {self.b}, {self.c}, {self.d})"
-            )
-        if not 0.0 < self.w <= 1.0:
-            raise ValueError(f"height must satisfy 0 < w <= 1, got {self.w}")
+        if not (a <= b <= c <= d):
+            raise ValueError(f"vertices must satisfy a <= b <= c <= d, got ({a}, {b}, {c}, {d})")
+        if not 0.0 < w <= 1.0:
+            raise ValueError(f"height must satisfy 0 < w <= 1, got {w}")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "w", w)
 
     @property
     def vertices(self) -> tuple[float, float, float, float]:

@@ -8,15 +8,19 @@ for the common ratio by bisection, since orness is strictly decreasing in it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
+
+from ._frozen import Frozen, set_field
 
 DEFAULT_ALPHA = 0.7
 
 _ORNESS_TOL = 1e-14
 _MAX_BISECTIONS = 200
+# the (n, alpha) vectors mem_weights keeps; the least recently used goes first
+_CACHE_SIZE = 1024
+# significant digits of decimal's default context
+_DECIMAL_PRECISION = 28
 
 
 def orness(weights: Iterable[float]) -> float:
@@ -37,26 +41,26 @@ def dispersion(weights: Iterable[float]) -> float:
     return 0.0 - math.fsum(w * math.log(w) for w in weights if w > 0.0)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """An OWA weight vector tagged with the orness level it was built for."""
 
-    weights: tuple[float, ...]
-    alpha: float
+    __match_args__ = ("weights", "alpha")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) < 2:
+    def __init__(self, weights: Iterable[float], alpha: float) -> None:
+        weights = tuple(map(float, weights))
+        if len(weights) < 2:
             raise ValueError("a weight vector needs at least two entries")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for w in self.weights:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        for w in weights:
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"weights must lie in [0, 1], got {w}")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+        if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        if abs(orness(self.weights) - self.alpha) > 1e-9:
+        if abs(orness(weights) - alpha) > 1e-9:
             raise ValueError("weights do not realize the declared orness")
+        set_field(self, "weights", weights)
+        set_field(self, "alpha", alpha)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -89,17 +93,38 @@ def _renormalized(ws: list[float]) -> tuple[float, ...]:
 def _complement(alpha: float) -> float:
     # 1 - alpha through the shortest decimal form, so that 0.7 pairs with
     # 0.3 rather than 0.30000000000000004; these weights are echoed in
-    # reports and users expect the decimal complement.
-    return float(Decimal(1) - Decimal(repr(alpha)))
+    # reports and users expect the decimal complement.  The difference is
+    # exact in integers, then rounded half-even to 28 significant digits as
+    # Decimal(1) - Decimal(repr(alpha)) rounds it.
+    mantissa, _, exponent = repr(alpha).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    # repr(alpha) is digits * 10**exp exactly, and 1 - it is coefficient * 10**exp
+    digits = int(whole + fraction)
+    exp = int(exponent or 0) - len(fraction)
+    if exp < 0:
+        coefficient = 10**-exp - digits
+    else:
+        coefficient, exp = 1 - digits * 10**exp, 0
+    excess = len(str(abs(coefficient))) - _DECIMAL_PRECISION
+    if excess > 0:
+        unit = 10**excess
+        kept, dropped = divmod(abs(coefficient), unit)
+        if 2 * dropped > unit or (2 * dropped == unit and kept % 2):
+            kept += 1
+        coefficient = kept if coefficient > 0 else -kept
+        exp += excess
+    return float(f"{coefficient}e{exp}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def mem_weights(n: int, alpha: float = DEFAULT_ALPHA) -> WeightVector:
     """Maximal-entropy OWA weights of length n with orness alpha.
 
     Corner cases are exact: alpha 1 or 0 puts all weight on the first or
     last position, alpha 0.5 is uniform, and n = 2 is (alpha, 1 - alpha).
-    Vectors for alpha < 0.5 are the reverse of those for 1 - alpha.
+    Vectors for alpha < 0.5 are the reverse of those for 1 - alpha.  The
+    last _CACHE_SIZE distinct (n, alpha) calls are cached, so a process that
+    sweeps alpha keeps a bounded number of vectors.
     """
     if n < 2:
         raise ValueError("a weight vector needs at least two entries")

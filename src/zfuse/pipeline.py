@@ -7,8 +7,9 @@ fused singleton mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
+from ._frozen import Frozen, set_field
 from .evidence import (
     Frame,
     MassFunction,
@@ -23,38 +24,36 @@ from .zmodel import ReferenceBounds, ZNumber, best_first, similarity
 _FULL_RELIABILITY = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AssessmentMatrix:
+class AssessmentMatrix(Frozen):
     """A complete sources-by-hypotheses grid of Z-number assessments.
 
     Rows follow sources, columns follow frame.hypotheses.
     """
 
-    frame: Frame
-    sources: tuple[str, ...]
-    cells: tuple[tuple[ZNumber, ...], ...]
+    __match_args__ = ("frame", "sources", "cells")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
-        if len(self.frame) < 2:
+    def __init__(
+        self, frame: Frame, sources: Iterable[str], cells: Iterable[Iterable[ZNumber]]
+    ) -> None:
+        sources = tuple(sources)
+        cells = tuple(tuple(row) for row in cells)
+        if len(frame) < 2:
             raise ValueError("a decision needs at least two hypotheses")
-        if not self.sources:
+        if not sources:
             raise ValueError("a decision needs at least one source")
         seen: set[str] = set()
-        for label in self.sources:
+        for label in sources:
             if label in seen:
                 raise ValueError(f"source names must be distinct, got {label!r} twice")
             seen.add(label)
-        if len(self.cells) != len(self.sources):
-            raise ValueError(
-                f"got {len(self.cells)} rows for {len(self.sources)} sources"
-            )
-        for label, row in zip(self.sources, self.cells):
-            if len(row) != len(self.frame):
-                raise ValueError(
-                    f"source {label!r} has {len(row)} cells, expected {len(self.frame)}"
-                )
+        if len(cells) != len(sources):
+            raise ValueError(f"got {len(cells)} rows for {len(sources)} sources")
+        for label, row in zip(sources, cells):
+            if len(row) != len(frame):
+                raise ValueError(f"source {label!r} has {len(row)} cells, expected {len(frame)}")
+        set_field(self, "frame", frame)
+        set_field(self, "sources", sources)
+        set_field(self, "cells", cells)
 
     def cell(self, source: str, hypothesis: str) -> ZNumber:
         try:
@@ -76,20 +75,45 @@ class AssessmentMatrix:
         )
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(Frozen):
     """Everything the fusion produced, plus the configuration that shaped it."""
 
-    frame: Frame
-    sources: tuple[str, ...]
-    per_source_bpas: tuple[MassFunction, ...]
-    fused: MassFunction
-    conflict_trace: tuple[float, ...]
-    ranking: tuple[str, ...]
-    decision: str
-    alpha: float
-    score_weights: WeightVector
-    component_weights: WeightVector
+    __match_args__ = (
+        "frame",
+        "sources",
+        "per_source_bpas",
+        "fused",
+        "conflict_trace",
+        "ranking",
+        "decision",
+        "alpha",
+        "score_weights",
+        "component_weights",
+    )
+
+    def __init__(
+        self,
+        frame: Frame,
+        sources: tuple[str, ...],
+        per_source_bpas: tuple[MassFunction, ...],
+        fused: MassFunction,
+        conflict_trace: tuple[float, ...],
+        ranking: tuple[str, ...],
+        decision: str,
+        alpha: float,
+        score_weights: WeightVector,
+        component_weights: WeightVector,
+    ) -> None:
+        set_field(self, "frame", frame)
+        set_field(self, "sources", sources)
+        set_field(self, "per_source_bpas", per_source_bpas)
+        set_field(self, "fused", fused)
+        set_field(self, "conflict_trace", conflict_trace)
+        set_field(self, "ranking", ranking)
+        set_field(self, "decision", decision)
+        set_field(self, "alpha", alpha)
+        set_field(self, "score_weights", score_weights)
+        set_field(self, "component_weights", component_weights)
 
 
 def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple[MassFunction, ...]:
@@ -101,7 +125,7 @@ def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple
     and score once per cell.
     """
     refs = ReferenceBounds.from_alpha(alpha)
-    # keyed on identity, not value: hashing a frozen dataclass costs more
+    # keyed on identity, not value: hashing a shape field by field costs more
     # than scoring saves on numeric grids, and the matrix keeps every shape
     # alive, so no id is reused while the memo lives
     memo: dict[tuple[int, int], float] = {}

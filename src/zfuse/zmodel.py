@@ -9,25 +9,29 @@ score H, and the pair is scored by its weighted distance from the ideal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._frozen import Frozen, set_field
 from .fuzzy import TrapezoidalFuzzyNumber, centroid, spread
 from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
 
 
-@dataclass(frozen=True)
-class ZNumber:
+class ZNumber(Frozen):
     """Evaluation A constrained by reliability B."""
 
-    A: TrapezoidalFuzzyNumber
-    B: TrapezoidalFuzzyNumber
+    __match_args__ = ("A", "B")
+
+    def __init__(self, A: TrapezoidalFuzzyNumber, B: TrapezoidalFuzzyNumber) -> None:
+        set_field(self, "A", A)
+        set_field(self, "B", B)
 
 
-@dataclass(frozen=True)
-class LinguisticTerm:
-    name: str
-    shape: TrapezoidalFuzzyNumber
+class LinguisticTerm(Frozen):
+    __match_args__ = ("name", "shape")
+
+    def __init__(self, name: str, shape: TrapezoidalFuzzyNumber) -> None:
+        set_field(self, "name", name)
+        set_field(self, "shape", shape)
 
 
 LEXICON: tuple[LinguisticTerm, ...] = (
@@ -92,8 +96,7 @@ _IDEAL = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
 _WORST = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ReferenceBounds:
+class ReferenceBounds(Frozen):
     """Everything scoring needs for one alpha.
 
     hmax and hmin are the H scores of the ideal's and anti-ideal's
@@ -101,14 +104,17 @@ class ReferenceBounds:
     component_weights blends the deviations of A and B.
     """
 
-    hmax: float
-    hmin: float
-    score_weights: WeightVector
-    component_weights: WeightVector
+    __match_args__ = ("hmax", "hmin", "score_weights", "component_weights")
 
-    def __post_init__(self) -> None:
-        if len(self.component_weights) != 2:
-            raise ValueError(f"component blending needs a length-2 weight vector, got {len(self.component_weights)}")
+    def __init__(
+        self, hmax: float, hmin: float, score_weights: WeightVector, component_weights: WeightVector
+    ) -> None:
+        if len(component_weights) != 2:
+            raise ValueError(f"component blending needs a length-2 weight vector, got {len(component_weights)}")
+        set_field(self, "hmax", hmax)
+        set_field(self, "hmin", hmin)
+        set_field(self, "score_weights", score_weights)
+        set_field(self, "component_weights", component_weights)
 
     @classmethod
     def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
@@ -125,19 +131,21 @@ class ReferenceBounds:
         return cls(hmax=hmax, hmin=hmin, score_weights=score_weights, component_weights=mem_weights(2, alpha))
 
 
-@dataclass(frozen=True)
-class ZScore:
+class ZScore(Frozen):
     """Component scores and the resulting deviation/similarity of a Z-number.
 
     clamped flags a raw deviation beyond 1 (possible for shapes far outside
     the unit interval) that was cut back to the nominal range.
     """
 
-    hA: float
-    hB: float
-    deviation: float
-    similarity: float
-    clamped: bool = False
+    __match_args__ = ("hA", "hB", "deviation", "similarity", "clamped")
+
+    def __init__(self, hA: float, hB: float, deviation: float, similarity: float, clamped: bool = False) -> None:
+        set_field(self, "hA", hA)
+        set_field(self, "hB", hB)
+        set_field(self, "deviation", deviation)
+        set_field(self, "similarity", similarity)
+        set_field(self, "clamped", clamped)
 
 
 def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, float, bool]:

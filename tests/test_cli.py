@@ -509,6 +509,30 @@ class TestSharedParser:
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
+class TestStartup:
+    """What every zfuse process pays before it reads its input."""
+
+    # heavy modules zfuse used to import; each one is a few ms of start-up
+    SLOW_IMPORTS = ("dataclasses", "inspect", "decimal", "csv", "typing")
+
+    def test_import_loads_no_slow_module(self):
+        # -I -S: no site hooks, which import some of these themselves
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(cli.__file__).resolve().parents[1])!r})\n"
+            "import zfuse, zfuse.cli\n"
+            f"print(sorted(set({self.SLOW_IMPORTS!r}) & set(sys.modules)))\n"
+            "import contextlib, io\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = zfuse.cli.main(['decide', '--input', {MEDICAL_CSV!r}])\n"
+            "print(code, out.getvalue().splitlines()[-1])\n"
+        )
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "0 decision: Common-cold"]
+
+
 def loop_shape(value, where):
     """_parse_shape on a 5-entry list, one _number call per entry: the oracle for its type scan."""
     numbers = [cli._number(v, where) for v in value]

@@ -2,12 +2,14 @@
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfuse.owa import WeightVector, dispersion, mem_weights, orness
+from zfuse import owa
+from zfuse.owa import WeightVector, _complement, dispersion, mem_weights, orness
 
 alphas = st.floats(0.0, 1.0, allow_nan=False)
 sizes = st.integers(2, 8)
@@ -98,6 +100,24 @@ class TestMemWeights:
         with pytest.raises(ValueError, match="0, 1"):
             mem_weights(3, -0.2)
 
+    def test_cache_is_bounded(self):
+        bound = mem_weights.cache_info().maxsize
+        assert bound == owa._CACHE_SIZE
+        rng = random.Random(1024)
+        # alphas below 0.5 also cache their mirror image
+        keys = [(rng.choice((2, 3)), rng.random()) for _ in range(3 * bound)]
+        mem_weights.cache_clear()
+        try:
+            first = [mem_weights(n, alpha) for n, alpha in keys]
+            assert mem_weights.cache_info().currsize == bound
+            # most were dropped and are built again, with the same weights
+            again = [mem_weights(n, alpha) for n, alpha in keys]
+            assert mem_weights.cache_info().currsize == bound
+        finally:
+            mem_weights.cache_clear()
+        assert again == first
+        assert all(type(w) is float for v in again for w in v)
+
     @given(sizes, alphas)
     @settings(max_examples=300)
     def test_orness_is_recovered(self, n, alpha):
@@ -127,6 +147,31 @@ class TestMemWeights:
         v = mem_weights(n, alpha)
         for i in range(n - 1):
             assert v[i] > v[i + 1]
+
+
+def decimal_complement(alpha):
+    """The oracle: 1 - alpha in the decimal module's default context."""
+    return float(Decimal(1) - Decimal(repr(alpha)))
+
+
+class TestComplement:
+    """_complement takes 1 - alpha on the shortest decimal form of alpha,
+    in integers, exactly as the decimal module would."""
+
+    def test_matches_decimal(self):
+        rng = random.Random(2817)
+        # 1 - 1e-30 has 30 significant digits, which round up to 1
+        alphas = [5e-324, 1e-30, 0.1, 0.7, 0.30000000000000004]
+        for digits in range(1, 18):
+            for _ in range(300):
+                # digits significant digits, below 1, down to 1e-40
+                coefficient = rng.randrange(10 ** (digits - 1), 10**digits)
+                alphas.append(float(f"{coefficient}e-{rng.randrange(digits, digits + 40)}"))
+        # 1 - alpha lies within 1e-28 of a midpoint between two doubles, so
+        # rounding to 28 digits first can move it to the other double
+        alphas += [rng.randrange(1, 2**14, 2) * 2.0**-54 for _ in range(300)]
+        for alpha in alphas:
+            assert _complement(alpha) == decimal_complement(alpha), alpha
 
 
 class TestEntropyOptimality:

@@ -1,6 +1,5 @@
 """Z-numbers: lexicon, ranking scores, deviation, and similarity."""
 
-import dataclasses
 import math
 import random
 
@@ -177,8 +176,11 @@ class TestDeviationAndSimilarity:
         assert score.similarity == 0.0
 
     def test_needs_two_component_weights(self):
+        refs = ReferenceBounds.from_alpha(0.7)
         with pytest.raises(ValueError, match="length-2"):
-            dataclasses.replace(ReferenceBounds.from_alpha(0.7), component_weights=mem_weights(3, 0.7))
+            ReferenceBounds(
+                hmax=refs.hmax, hmin=refs.hmin, score_weights=refs.score_weights, component_weights=mem_weights(3, 0.7)
+            )
 
     @given(st.sampled_from(LEXICON), st.sampled_from(LEXICON), st.sampled_from(LEXICON))
     @settings(max_examples=200)

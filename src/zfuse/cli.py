@@ -12,12 +12,10 @@ between sources.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
@@ -45,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in _MODES:
         p = sub.add_parser(mode)
         if mode != "weights":
-            p.add_argument("--input", "-i", type=Path, required=True, help="input file (JSON, or CSV for assessment grids)")
+            p.add_argument("--input", "-i", required=True, help="input file (JSON, or CSV for assessment grids)")
         p.add_argument("--alpha", type=float, default=None, help="orness level in [0, 1]; overrides any value in the file (default 0.7)")
         p.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
         p.add_argument("--precision", type=int, default=4, help="decimal places in table output, 1..12")
@@ -111,7 +109,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     except RecursionError:
         # JSON nested shallow enough to load but too deep to quote in an error
-        print(f"zfuse: {args.input.name}: input nested too deep", file=sys.stderr)
+        print(f"zfuse: {os.path.basename(args.input)}: input nested too deep", file=sys.stderr)
         return EXIT_PARSE
     try:
         print(text, flush=True)
@@ -137,7 +135,7 @@ def _text(args: argparse.Namespace) -> str:
     elif args.mode in ("decide", "bpa"):
         data, file_alpha = _load_matrix(args.input)
     else:
-        data, file_alpha = _split_items(_load_json(args.input), args.input.name)
+        data, file_alpha = _split_items(_load_json(args.input), os.path.basename(args.input))
     alpha = args.alpha if args.alpha is not None else file_alpha
     build, table = _MODES[args.mode]
     report = build(data, DEFAULT_ALPHA if alpha is None else alpha)
@@ -148,21 +146,22 @@ def _text(args: argparse.Namespace) -> str:
 
 # ---------------------------------------------------------------- parsing
 
-def _not_utf8(path: Path, err: UnicodeDecodeError) -> InputError:
-    return InputError(f"{path.name}: not UTF-8 text: {err.reason}")
+def _not_utf8(name: str, err: UnicodeDecodeError) -> InputError:
+    return InputError(f"{name}: not UTF-8 text: {err.reason}")
 
 
-def _load_json(path: Path):
+def _load_json(path: str):
+    name = os.path.basename(path)
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as err:
-            raise _not_utf8(path, err) from None
+            raise _not_utf8(name, err) from None
         # malformed text (JSONDecodeError), an integer over Python's digit limit
         # (a plain ValueError) or nesting too deep for the decoder; after the
         # UnicodeDecodeError clause, as that is a ValueError too
         except (ValueError, RecursionError) as err:
-            raise InputError(f"{path.name}: invalid JSON: {err}") from None
+            raise InputError(f"{name}: invalid JSON: {err}") from None
 
 
 def _label(value: str, what: str) -> str:
@@ -172,11 +171,11 @@ def _label(value: str, what: str) -> str:
     return value
 
 
-def _load_matrix(path: Path) -> tuple[AssessmentMatrix, float | None]:
-    if path.suffix.lower() == ".csv":
+def _load_matrix(path: str) -> tuple[AssessmentMatrix, float | None]:
+    # a file named .csv has no extension, and is read as JSON
+    if os.path.splitext(path)[1].lower() == ".csv":
         return _load_csv_matrix(path), None
-    doc = _load_json(path)
-    return _parse_matrix_doc(doc, path.name)
+    return _parse_matrix_doc(_load_json(path), os.path.basename(path))
 
 
 def _number(value, where: str) -> float:
@@ -195,23 +194,6 @@ def _file_alpha(doc: dict, name: str) -> float | None:
     return None if alpha is None else _number(alpha, f'{name}: "alpha"')
 
 
-# the entry types a JSON number loads as; bool is a subclass of int, not listed
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
-def _numbers(value: list, where: str) -> list[float]:
-    """The entries of a JSON list as floats; where names the list in error messages.
-
-    A list of plain ints and floats is converted after one type scan.  Any
-    other list, or an int too large for a float, goes through _number one
-    entry at a time, which names what is wrong.
-    """
-    if _PLAIN_NUMBERS.issuperset(map(type, value)):
-        with contextlib.suppress(OverflowError):
-            return list(map(float, value))
-    return [_number(v, where) for v in value]
-
-
 def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
     if isinstance(value, str):
         try:
@@ -221,7 +203,7 @@ def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
     if isinstance(value, list):
         if len(value) != 5:
             raise InputError(f"{where}: a numeric shape needs exactly [a, b, c, d, w]")
-        numbers = _numbers(value, where)
+        numbers = [_number(v, where) for v in value]
         try:
             return TrapezoidalFuzzyNumber(*numbers)
         except ValueError as err:
@@ -275,11 +257,12 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     return matrix, alpha
 
 
-def _load_csv_matrix(path: Path) -> AssessmentMatrix:
+def _load_csv_matrix(path: str) -> AssessmentMatrix:
     """CSV grid: header names the hypotheses, then two rows (A, B) per source."""
     # imported here, so that JSON input and the other modes never load it
     import csv
 
+    name = os.path.basename(path)
     # (first line, stripped cells) of each row that is not blank; errors name
     # the line a row starts on, counting blank lines
     rows: list[tuple[int, list[str]]] = []
@@ -293,36 +276,36 @@ def _load_csv_matrix(path: Path) -> AssessmentMatrix:
                     rows.append((line, cells))
                 line = reader.line_num + 1
         except UnicodeDecodeError as err:
-            raise _not_utf8(path, err) from None
+            raise _not_utf8(name, err) from None
         except csv.Error as err:  # a NUL byte, before Python 3.11
-            raise InputError(f"{path.name}: {err}") from None
+            raise InputError(f"{name}: {err}") from None
     if not rows:
-        raise InputError(f"{path.name}: empty file")
+        raise InputError(f"{name}: empty file")
     header = rows[0][1]
     if len(header) < 2:
-        raise InputError(f"{path.name}: header must name a source column and the hypotheses")
+        raise InputError(f"{name}: header must name a source column and the hypotheses")
     for j, h in enumerate(header[1:], start=2):
-        _label(h, f"{path.name}: header column {j}")
+        _label(h, f"{name}: header column {j}")
     frame = Frame(tuple(header[1:]))
     data = rows[1:]
     if not data or len(data) % 2 != 0:
-        raise InputError(f"{path.name}: expected two rows (A then B) per source")
+        raise InputError(f"{name}: expected two rows (A then B) per source")
     labels: list[str] = []
     grid: list[tuple[ZNumber, ...]] = []
     for (line_a, row_a), (line_b, row_b) in zip(data[::2], data[1::2]):
-        _label(row_a[0], f"{path.name}: line {line_a}: the source name")
+        _label(row_a[0], f"{name}: line {line_a}: the source name")
         for line, row in ((line_a, row_a), (line_b, row_b)):
             if len(row) != len(header):
-                raise InputError(f"{path.name}: line {line}: expected {len(header)} columns")
+                raise InputError(f"{name}: line {line}: expected {len(header)} columns")
         if row_a[0] != row_b[0]:
             raise InputError(
-                f"{path.name}: line {line_b}: rows must pair up per source, "
+                f"{name}: line {line_b}: rows must pair up per source, "
                 f"got {row_a[0]!r} then {row_b[0]!r}"
             )
         cells = tuple(
             ZNumber(
-                A=_parse_shape(a, f"{path.name}: line {line_a} ({row_a[0]}/{h})"),
-                B=_parse_shape(b, f"{path.name}: line {line_b} ({row_a[0]}/{h})"),
+                A=_parse_shape(a, f"{name}: line {line_a} ({row_a[0]}/{h})"),
+                B=_parse_shape(b, f"{name}: line {line_b} ({row_a[0]}/{h})"),
             )
             for h, a, b in zip(header[1:], row_a[1:], row_b[1:])
         )

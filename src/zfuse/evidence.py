@@ -92,25 +92,6 @@ class Frame(Frozen):
         return tuple(out)
 
 
-class _MassesFromVector:
-    """MassFunction.masses where the instance has none of its own yet.
-
-    Only a mass function built by _from_vector lacks it: the dict is built
-    from the vector on first read and kept on the instance, where every
-    later read finds it first.  A class-level __getattr__ would do the same
-    but slow every attribute read of every mass function.
-    """
-
-    def __get__(self, m: "MassFunction | None", owner: type | None = None) -> dict[int, float]:
-        vector = None if m is None else m._vector
-        if vector is None:
-            # also read on the class, which has no masses
-            raise AttributeError("masses")
-        masses = _vector_masses(m.frame, *vector)
-        set_field(m, "masses", masses)
-        return masses
-
-
 class MassFunction(Frozen):
     """A basic probability assignment: mass per focal set, summing to one.
 
@@ -126,14 +107,18 @@ class MassFunction(Frozen):
 
     __match_args__ = ("frame", "masses")
 
-    # hidden by the masses dict __init__ stores on the instance: see _MassesFromVector
-    masses = _MassesFromVector()
     # (singleton masses in frame order, mass of the frame); set by _from_vector only
     _vector = None
 
     def __init__(self, frame: Frame, masses: Mapping[int, float]) -> None:
         set_field(self, "frame", frame)
+        # hides the cached_property below, which only _from_vector's instances reach
         set_field(self, "masses", _cleaned(masses, frame.theta))
+
+    @cached_property
+    def masses(self) -> dict[int, float]:
+        """The masses dict of a vector-built mass function, built on first read."""
+        return _vector_masses(self.frame, *self._vector)
 
     @classmethod
     def from_items(
@@ -152,7 +137,7 @@ class MassFunction(Frozen):
         """Singleton masses in frame order plus the frame's mass.
 
         The vector is validated by scans that run in C, and the masses dict
-        is left to be built from it when first read (_MassesFromVector).
+        is left to be built from it when first read.
         """
         if len(singles) > 1 and _plain_vector(singles, theta_mass):
             m = cls.__new__(cls)
@@ -327,7 +312,7 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     """Dempster's rule over every pair of focal sets, for any structure."""
     buckets: dict[int, list[float]] = {}
     conflict_parts: list[float] = []
-    # once per step, not per left focal set: masses is read through a descriptor
+    # once per step, not per left focal set
     right = m2.masses.items()
     for s1, v1 in m1.masses.items():
         for s2, v2 in right:

@@ -513,7 +513,7 @@ class TestStartup:
     """What every zfuse process pays before it reads its input."""
 
     # heavy modules zfuse used to import; each one is a few ms of start-up
-    SLOW_IMPORTS = ("dataclasses", "inspect", "decimal", "csv", "typing")
+    SLOW_IMPORTS = ("dataclasses", "inspect", "decimal", "csv", "typing", "pathlib")
 
     def test_import_loads_no_slow_module(self):
         # -I -S: no site hooks, which import some of these themselves
@@ -534,7 +534,7 @@ class TestStartup:
 
 
 def loop_shape(value, where):
-    """_parse_shape on a 5-entry list, one _number call per entry: the oracle for its type scan."""
+    """_parse_shape on a 5-entry list, one _number call per entry: the oracle for its numeric path."""
     numbers = [cli._number(v, where) for v in value]
     try:
         return TrapezoidalFuzzyNumber(*numbers)
@@ -569,7 +569,8 @@ def seeded_shapes(seed, count):
 
 
 class TestShapeScan:
-    """A numeric shape of plain ints and floats skips the per-entry loop, with the same result."""
+    """A numeric shape parses, or fails, exactly as the per-entry loop does: a regression
+    guard for its one parse path."""
 
     def test_matches_the_per_entry_loop(self):
         kinds = set()
@@ -594,6 +595,54 @@ class TestShapeScan:
                 kind, message = expected
                 assert code == (EXIT_PARSE if kind is InputError else EXIT_INVALID), shape
                 assert (out, err) == ("", f"zfuse: {message}\n"), shape
+
+
+class TestInputPath:
+    """--input is a plain string: its extension picks the loader and its basename names errors."""
+
+    def test_upper_case_csv_extension_decides(self, tmp_path, capsys):
+        path = tmp_path / "GRID.CSV"
+        path.write_bytes(Path(MEDICAL_CSV).read_bytes())
+        expected = run(capsys, "decide", "--input", MEDICAL_CSV)
+        assert run(capsys, "decide", "--input", str(path)) == expected
+        assert expected[1].endswith("decision: Common-cold\n")
+
+    def test_a_file_named_csv_is_read_as_json(self, tmp_path, capsys):
+        path = tmp_path / ".csv"
+        path.write_bytes(Path(MEDICAL).read_bytes())
+        assert run(capsys, "decide", "--input", str(path)) == run(capsys, "decide", "--input", MEDICAL)
+        path.write_bytes(Path(MEDICAL_CSV).read_bytes())
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("zfuse: .csv: invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("broken.json", "{not json", "broken.json: invalid JSON: "),
+            ("doc.csv", "\n\n", "doc.csv: empty file\n"),
+            ("bad.csv", b"source,a\n\xff\n", "bad.csv: not UTF-8 text: invalid start byte\n"),
+        ],
+        ids=["json", "csv", "csv-not-utf8"],
+    )
+    def test_errors_name_only_the_basename(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / "sub" / name
+        path.parent.mkdir()
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"zfuse: {message}"), err
+
+    @pytest.mark.parametrize("mode", ["decide", "rank-fuzzy"])
+    @pytest.mark.parametrize("suffix", ["", "/"], ids=["empty", "trailing-slash"])
+    def test_unopenable_paths_exit_2(self, tmp_path, capsys, mode, suffix):
+        # an empty path names no file, and x.json/ asks for x.json as a directory
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(grid() if mode == "decide" else ["Low", "High"]))
+        arg = str(path) + suffix if suffix else ""
+        code, out, err = run(capsys, mode, "--input", arg)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("zfuse: cannot read input: ") and err.count("\n") == 1, err
 
 
 # an integer over Python's default limit for converting digits to int (4300)

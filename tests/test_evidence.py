@@ -703,7 +703,10 @@ class TestLazyMasses:
             MassFunction(ABC)
         with pytest.raises(TypeError, match="masses"):
             MassFunction(frame=ABC)
-        assert not hasattr(MassFunction, "masses")
+        assert "masses" in MassFunction(ABC, {ABC.theta: 1.0}).__dict__
+        lazy = bpa_from_similarities(ABC, [0.5, 0.2, 0.0])
+        assert "masses" not in lazy.__dict__
+        assert lazy.masses and "masses" in lazy.__dict__
 
     @pytest.mark.parametrize(
         "singles, theta_mass",

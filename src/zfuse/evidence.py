@@ -12,6 +12,7 @@ on the general rule.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -310,19 +311,14 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
 
 def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     """Dempster's rule over every pair of focal sets, for any structure."""
-    buckets: dict[int, list[float]] = {}
-    conflict_parts: list[float] = []
+    # the products that conflict land in bucket 0
+    buckets: defaultdict[int, list[float]] = defaultdict(list)
     # once per step, not per left focal set
     right = m2.masses.items()
     for s1, v1 in m1.masses.items():
         for s2, v2 in right:
-            product = v1 * v2
-            inter = s1 & s2
-            if inter:
-                buckets.setdefault(inter, []).append(product)
-            else:
-                conflict_parts.append(product)
-    k = math.fsum(conflict_parts)
+            buckets[s1 & s2].append(v1 * v2)
+    k = math.fsum(buckets.pop(0, ()))
     _check_conflict(k)
     totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
     survived = math.fsum(totals.values())

@@ -82,8 +82,11 @@ def centroid(f: TrapezoidalFuzzyNumber) -> float:
         + plateau / area * (b + 0.5 * plateau)
         + right / area * (c + fall / 3.0)
     )
-    # the weights sum to 1 only up to rounding
-    return min(max(2.0 * x, f.a), f.d)
+    # the weights sum to 1 only up to rounding; two compares cost less than min/max
+    x = 2.0 * x
+    if x < f.a:
+        return f.a
+    return f.d if x > f.d else x
 
 
 def spread(f: TrapezoidalFuzzyNumber) -> float:

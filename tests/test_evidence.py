@@ -795,3 +795,105 @@ class TestDictBuiltEvidence:
         for mode in ("decide", "bpa"):
             build, table = cli._MODES[mode]
             table(build(m, 0.7), ".4f")
+
+
+def setdefault_combine(m1, m2):
+    """_combine_general as written with setdefault and a separate list of
+    conflicting products: the reference for its defaultdict buckets."""
+    buckets: dict[int, list[float]] = {}
+    conflict_parts: list[float] = []
+    # once per step, not per left focal set
+    right = m2.masses.items()
+    for s1, v1 in m1.masses.items():
+        for s2, v2 in right:
+            product = v1 * v2
+            inter = s1 & s2
+            if inter:
+                buckets.setdefault(inter, []).append(product)
+            else:
+                conflict_parts.append(product)
+    k = math.fsum(conflict_parts)
+    evidence._check_conflict(k)
+    totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
+    survived = math.fsum(totals.values())
+    combined = {mask: value / survived for mask, value in totals.items()}
+    return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
+
+
+def bucket_mass(rng, frame, common=0):
+    """1-12 random focal sets plus the frame, built from a dict; mask 1 is
+    sometimes keyed as True.  Every focal set contains the bits of common."""
+    masks = {rng.getrandbits(len(frame)) | common or 1 for _ in range(rng.randint(1, 12))}
+    masks.add(frame.theta)
+    if 1 in masks and rng.random() < 0.5:
+        masks = {True if m == 1 else m for m in masks}
+    values = [rng.random() + 0.01 for _ in masks]
+    total = math.fsum(values)
+    return MassFunction(frame, {m: v / total for m, v in zip(masks, values)})
+
+
+def exact_items(m):
+    """Masses in key order, with key types and float bits."""
+    return [(type(mask), mask, value.hex()) for mask, value in m.masses.items()]
+
+
+class TestGeneralRuleBuckets:
+    """_combine_general gives the masses, key order and k of the setdefault
+    loop it replaced, bit for bit."""
+
+    def assert_same(self, m1, m2):
+        got, want = _combine_general(m1, m2), setdefault_combine(m1, m2)
+        assert exact_items(got.combined) == exact_items(want.combined)
+        assert got.conflict.hex() == want.conflict.hex()
+        assert [k.hex() for k in got.steps] == [k.hex() for k in want.steps]
+        return got
+
+    def test_matches_the_setdefault_loop(self):
+        rng = random.Random(1515)
+        bools = 0
+        for _ in range(400):
+            frame = Frame(tuple(f"h{i}" for i in range(rng.randint(2, 12))))
+            m1, m2 = bucket_mass(rng, frame), bucket_mass(rng, frame)
+            bools += any(type(mask) is bool for mask in (*m1.masses, *m2.masses))
+            self.assert_same(m1, m2)
+        assert bools > 20
+
+    def test_no_conflicting_product_gives_positive_zero(self):
+        rng = random.Random(1516)
+        for _ in range(100):
+            frame = Frame(tuple(f"h{i}" for i in range(rng.randint(2, 12))))
+            common = 1 << rng.randrange(len(frame))
+            got = self.assert_same(bucket_mass(rng, frame, common), bucket_mass(rng, frame, common))
+            assert got.conflict.hex() == "0x0.0p+0"
+
+    def test_total_conflict_message(self):
+        rng = random.Random(1517)
+        for _ in range(50):
+            size = rng.randint(2, 12)
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            cut = rng.randint(1, size - 1)
+            low, high = (1 << cut) - 1, frame.theta ^ ((1 << cut) - 1)
+            # disjoint halves of the frame: every product conflicts
+            m1, m2 = (
+                MassFunction(frame, {mask: 1.0 / len(masks) for mask in masks})
+                for masks in ({low, 1 << rng.randrange(cut)}, {high, 1 << rng.randrange(cut, size)})
+            )
+            with pytest.raises(TotalConflictError) as got:
+                _combine_general(m1, m2)
+            with pytest.raises(TotalConflictError) as want:
+                setdefault_combine(m1, m2)
+            assert str(got.value) == str(want.value)
+            assert (got.value.left, got.value.right) == (want.value.left, want.value.right)
+
+    def test_folds_match(self):
+        rng = random.Random(1518)
+        for _ in range(40):
+            frame = Frame(tuple(f"h{i}" for i in range(rng.randint(2, 12))))
+            ms = [bucket_mass(rng, frame) for _ in range(rng.randint(2, 6))]
+            acc, steps = ms[0], []
+            for m in ms[1:]:
+                out = setdefault_combine(acc, m)
+                acc, steps = out.combined, steps + [out.conflict]
+            got = combine_all(ms)
+            assert exact_items(got.combined) == exact_items(acc)
+            assert [k.hex() for k in got.steps] == [k.hex() for k in steps]

@@ -196,6 +196,144 @@ class TestCentroid:
         assert centroid(moved) == pytest.approx(centroid(f) + shift, abs=1e-9)
 
 
+def unclamped_centroid(f):
+    """centroid's arithmetic as written when it clamped with min(max(...)),
+    stopped before the clamp."""
+    a, b, c, d = 0.5 * f.a, 0.5 * f.b, 0.5 * f.c, 0.5 * f.d
+    rise = b - a
+    fall = d - c
+    left = 0.5 * rise
+    plateau = c - b
+    right = 0.5 * fall
+    area = left + plateau + right
+    if area == 0.0:
+        return f.a
+    x = (
+        left / area * (b - rise / 3.0)
+        + plateau / area * (b + 0.5 * plateau)
+        + right / area * (c + fall / 3.0)
+    )
+    return 2.0 * x
+
+
+def minmax_centroid(f):
+    """The oracle for the two comparisons that replaced min and max."""
+    return min(max(unclamped_centroid(f), f.a), f.d)
+
+
+# subnormals, the float limits and both zeros; repeats give point numbers
+# and zero-width segments
+EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-323,
+    2.2250738585072014e-308,
+    -2.2250738585072014e-308,
+    1.79e308,
+    -1.79e308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1.0,
+)
+
+
+@st.composite
+def edge_trapezoids(draw):
+    value = st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),
+    )
+    distinct = draw(st.lists(value, min_size=1, max_size=4))
+    vs = sorted(draw(st.lists(st.sampled_from(distinct), min_size=4, max_size=4)))
+    w = draw(st.floats(5e-324, 1.0))
+    return TrapezoidalFuzzyNumber(*vs, w)
+
+
+@st.composite
+def ulp_trapezoids(draw):
+    """Four vertices within a few ulps of one another, at any magnitude."""
+    base = draw(st.floats(allow_nan=False, allow_infinity=False))
+    vs = []
+    for steps in sorted(draw(st.lists(st.integers(0, 8), min_size=4, max_size=4))):
+        v = base
+        for _ in range(steps):
+            v = math.nextafter(v, math.inf)
+        vs.append(v)
+    assume(math.isfinite(vs[-1]))
+    return TrapezoidalFuzzyNumber(*vs)
+
+
+# Halving a subnormal vertex rounds, so the weighted mean can land one ulp
+# below a; these reach the lower clamp.  No shape that reaches the upper
+# clamp is known.
+LOWER_CLAMPED = [
+    (5e-324, 5e-324, 1e-323, 1e-323),
+    (-1.14e-322, -1.14e-322, -1.1e-322, -1.1e-322),
+    (-5.4e-323, -5.4e-323, -5e-323, -4.4e-323),
+    (3.7146818707917215e-308, 3.7146818707917215e-308, 3.714681870791722e-308, 3.7146818707917224e-308),
+]
+
+
+class TestCentroidClamp:
+    """centroid clamps with two comparisons; it must give the bits of
+    min(max(2x, a), d), the signed zeros included."""
+
+    def assert_same_bits(self, f):
+        assert centroid(f).hex() == minmax_centroid(f).hex()
+
+    @pytest.mark.parametrize("vertices", LOWER_CLAMPED)
+    def test_lower_clamp_is_reached(self, vertices):
+        f = TrapezoidalFuzzyNumber(*vertices)
+        assert unclamped_centroid(f) < f.a
+        assert centroid(f) == f.a
+        self.assert_same_bits(f)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            (0.93, 0.98, 1.0, 1.0),
+            (0.1, 0.3, 0.5, 0.7),
+            (0.0, 0.12, 0.12, 0.24),
+            (0.2, 0.2, 0.6, 0.6),
+            (0.0, 0.0, 0.0, 0.0),
+            (-0.0, -0.0, -0.0, -0.0),
+            (-0.0, -0.0, 0.0, 0.0),
+            (-0.0, 0.0, 0.0, 5e-324),
+            (1.0, 1.0, 1.0, 1.0),
+            (0.0, 0.0, 0.0, 5e-324),
+            (3.18e-283, 2.35e-230, 2.35e-230, 2.35e-230),
+            (0.0, 0.0, 0.0, 1e308),
+            (-1e308, 0.0, 0.0, 1e308),
+            (-1e200, 0.0, 0.0, 1e200),
+            (1.7e308, 1.75e308, 1.79e308, 1.797e308),
+            (-1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308),
+            (0.0, 5e-324, 5e-324, 5e-324),
+        ],
+    )
+    def test_pinned_shapes(self, vertices):
+        self.assert_same_bits(TrapezoidalFuzzyNumber(*vertices))
+
+    @given(edge_trapezoids())
+    # the mean before the clamp is 0.0 against a = -0.0: a tie that keeps 0.0
+    @example(TrapezoidalFuzzyNumber(-0.0, -0.0, 1e-323, 1e-323))
+    @example(TrapezoidalFuzzyNumber(-0.0, 5e-324, 1e-323, 1.5e-323))
+    @settings(max_examples=500)
+    def test_edge_shapes(self, f):
+        self.assert_same_bits(f)
+
+    @given(ulp_trapezoids())
+    @settings(max_examples=500)
+    def test_shapes_a_few_ulps_wide(self, f):
+        self.assert_same_bits(f)
+
+    @given(trapezoids())
+    def test_ordinary_shapes(self, f):
+        self.assert_same_bits(f)
+
+
 class TestSpread:
     def test_point_number_has_no_spread(self):
         assert spread(TrapezoidalFuzzyNumber(0.4, 0.4, 0.4, 0.4)) == 0.0

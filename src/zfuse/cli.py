@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
@@ -140,8 +141,73 @@ def _text(args: argparse.Namespace) -> str:
     build, table = _MODES[args.mode]
     report = build(data, DEFAULT_ALPHA if alpha is None else alpha)
     if args.fmt == "json":
-        return json.dumps(report, indent=2)
+        return _json_text(report)
     return "\n".join(table(report, f".{args.precision}f"))
+
+
+# ------------------------------------------------------------- JSON output
+
+class _Unwritable(Exception):
+    """A value _write_json leaves to the stdlib encoder."""
+
+
+def _json_text(report) -> str:
+    """json.dumps(report, indent=2), byte for byte, at about twice its speed.
+
+    With an indent the stdlib encodes in pure Python; this writer walks the
+    containers itself and quotes every string with the C quoting function
+    json.dumps ends up calling.  A value of any type it does not write, such
+    as a float subclass or a non-string key, sends the whole report to
+    json.dumps instead, so the two can never differ.
+    """
+    parts: list[str] = []
+    try:
+        _write_json(report, "\n", parts)
+    except _Unwritable:
+        return json.dumps(report, indent=2)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append value's JSON to parts; newline is "\\n" and the indent of its line."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is float:
+        # as json.dumps writes floats: repr, and JavaScript's names for the non-finite
+        parts.append(repr(value) if value - value == 0.0 else _NON_FINITE[repr(value)])
+    elif kind is int:
+        parts.append(repr(value))
+    elif value is None or kind is bool:
+        parts.append(_CONSTANTS[value])
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            parts.append("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        separator = inner
+        if kind is dict:
+            parts.append("{")
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise _Unwritable
+                parts += (separator, _quote(key), ": ")
+                _write_json(item, inner, parts)
+                separator = "," + inner
+            parts += (newline, "}")
+        else:
+            parts.append("[")
+            for item in value:
+                parts.append(separator)
+                _write_json(item, inner, parts)
+                separator = "," + inner
+            parts += (newline, "]")
+    else:
+        raise _Unwritable
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 # ---------------------------------------------------------------- parsing

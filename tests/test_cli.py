@@ -411,6 +411,101 @@ class TestPinnedOutput:
         expected = json.dumps(PINNED_PAYLOADS[mode], indent=2) + "\n"
         assert run(capsys, mode, *inputs["json"][mode], "--format", "json") == (EXIT_OK, expected, "")
 
+
+# labels a report quotes: non-ASCII, quotes, backslashes and control characters
+ODD_LABELS = ["Fièvre", "流感", 'say "ah"', "back\\slash", "tab\there", "bell\x07", "emoji \U0001f912", "  sep"]
+
+
+def seeded_grid(rng: random.Random) -> dict:
+    """A 3-6 x 3-6 grid with half its cells lexicon terms and half numeric, as small CLI inputs are."""
+    terms = [term.name for term in LEXICON]
+
+    def shape():
+        if rng.random() < 0.5:
+            return rng.choice(terms)
+        digits = rng.choice((2, 3, 17))
+        return sorted(round(rng.random(), digits) for _ in range(4)) + [round(rng.uniform(0.3, 1.0), 3)]
+
+    pool = ODD_LABELS + [f"H{k}" for k in range(6)]
+    frame = rng.sample(pool, rng.randint(3, 6))
+    sources = [f"E{k}" if rng.random() < 0.7 else f"{rng.choice(ODD_LABELS)} {k}" for k in range(rng.randint(3, 6))]
+    return {
+        "frame": frame,
+        "sources": [{"name": s, "assessments": {h: {"A": shape(), "B": shape()} for h in frame}} for s in sources],
+    }
+
+
+class TestJsonWriter:
+    """--format json is json.dumps(report, indent=2), written by cli._json_text."""
+
+    ALPHAS = [0.3, 0.5, 0.7, 0.912, 1.0]
+
+    @staticmethod
+    def check(capsys, mode, data, alpha, *argv):
+        report = cli._MODES[mode][0](data, alpha)
+        expected = json.dumps(report, indent=2) + "\n"
+        assert run(capsys, mode, *argv, "--alpha", repr(alpha), "--format", "json") == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("mode", ["decide", "bpa"])
+    def test_grid_modes(self, tmp_path, capsys, mode):
+        rng = random.Random(3)
+        for k in range(12):
+            path = tmp_path / f"grid{k}.json"
+            path.write_text(json.dumps(seeded_grid(rng)))
+            matrix, _ = cli._load_matrix(str(path))
+            for alpha in self.ALPHAS:
+                self.check(capsys, mode, matrix, alpha, "--input", str(path))
+
+    def test_rank_modes(self, tmp_path, capsys):
+        rng = random.Random(3)
+        cells = [cell for _ in range(3) for row in seeded_grid(rng)["sources"] for cell in row["assessments"].values()]
+        shapes = [cell["A"] for cell in cells]
+        for mode, items in (("rank-fuzzy", shapes), ("rank-z", cells)):
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(items))
+            for alpha in self.ALPHAS:
+                self.check(capsys, mode, items, alpha, "--input", str(path))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_weights_mode(self, capsys, n):
+        for alpha in self.ALPHAS + [0.0, 1e-320]:
+            self.check(capsys, "weights", n, alpha, "--n", str(n))
+
+    LEAVES = [
+        float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, 0.1, 1e16, -2.5e-7,
+        0, -7, 10**40, True, False, None,
+        "", "plain", *ODD_LABELS, "\x00\x1f\x7f", "\ud800",
+        {}, [], (), (1, 2.5), [[]], {"": {}},
+    ]
+
+    @pytest.mark.parametrize("leaf", LEAVES, ids=repr)
+    def test_leaves(self, leaf):
+        for doc in (leaf, [leaf], {"k": leaf}, {"a": [leaf, {"b": (leaf, leaf)}], "c": leaf}):
+            assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_labels_as_keys(self):
+        doc = {label: {label: [label]} for label in ODD_LABELS + ["\x00", "\ud800"]}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {1: "int key"},
+            {None: 1, 2.5: [], True: "b"},
+            [type("Sub", (float,), {})(0.5)],
+            [type("Sub", (str,), {})("s")],
+            {"k": type("Sub", (dict,), {})(a=1)},
+        ],
+        ids=["int-key", "mixed-keys", "float-subclass", "str-subclass", "dict-subclass"],
+    )
+    def test_other_types_go_to_the_stdlib(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_unserializable_raises_as_the_stdlib_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"a": [object()]})
+
+
 def outcome(entry, argv):
     """(exit code, stdout, stderr) of entry(argv); a SystemExit gives ("exit", its code)."""
     out, err = io.StringIO(), io.StringIO()

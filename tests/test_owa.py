@@ -149,6 +149,107 @@ class TestMemWeights:
             assert v[i] > v[i + 1]
 
 
+def plain_weights(n, alpha):
+    """mem_weights(n, alpha).weights by the plain bisection, which builds the
+    weights and takes their orness at every step: the oracle for the screened
+    one, for alpha in (0.5, 1).  n = 2 has a closed form and never bisects."""
+    if n == 2:
+        return (alpha, _complement(alpha))
+    lo, hi = 0.0, 1.0
+    ws = owa._geometric(n, 0.5)
+    for _ in range(owa._MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        ws = owa._geometric(n, mid)
+        residual = orness(ws) - alpha
+        if abs(residual) < owa._ORNESS_TOL:
+            break
+        if residual > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if not lo < 0.5 * (lo + hi) < hi:
+            break
+    return owa._renormalized(ws)
+
+
+def neighbours(x, toward, count=60):
+    """The count floats next to x, stepping toward toward."""
+    out = []
+    for _ in range(count):
+        x = math.nextafter(x, toward)
+        out.append(x)
+    return out
+
+
+def grid(count):
+    """count alphas evenly inside (0.5, 1)."""
+    return [0.5 + 0.5 * (k + 0.5) / count for k in range(count)]
+
+
+class TestScreenedBisection:
+    """mem_weights decides far steps on a Horner estimate of orness; its
+    weights must equal the plain bisection's bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        mem_weights.cache_clear()
+        yield
+        mem_weights.cache_clear()
+
+    @staticmethod
+    def assert_matches(n, alphas):
+        for alpha in alphas:
+            assert mem_weights.__wrapped__(n, alpha).weights == plain_weights(n, alpha), (n, alpha)
+
+    def test_three_weights(self):
+        rng = random.Random(3)
+        alphas = grid(17000) + [rng.uniform(0.5, 1.0) for _ in range(3000)]
+        # three decimals, as alphas in input files are written
+        alphas += [float(f"0.{k:03d}") for k in range(501, 1000)]
+        self.assert_matches(3, alphas)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_small_sizes(self, n):
+        self.assert_matches(n, grid(600))
+
+    @pytest.mark.parametrize("n, count", [(50, 120), (1000, 12), (3000, 5)])
+    def test_large_sizes(self, n, count):
+        self.assert_matches(n, grid(count))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 50])
+    def test_next_to_one_half_and_one(self, n):
+        self.assert_matches(n, neighbours(0.5, 1.0) + neighbours(1.0, 0.0))
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_mirrored_alphas(self, n):
+        low = [1.0 - a for a in grid(500)] + neighbours(0.5, 0.0) + neighbours(0.0, 1.0)
+        # those whose 1 - alpha rounds to 0.5 or 1 take the uniform or one-hot vector
+        low = [a for a in low if 0.5 < 1.0 - a < 1.0]
+        assert len(low) > 500
+        for alpha in low:
+            assert mem_weights(n, alpha).weights == tuple(reversed(plain_weights(n, 1.0 - alpha))), (n, alpha)
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 200, 3000])
+    def test_estimate_error_is_within_half_the_margin(self, n):
+        rng = random.Random(n)
+        ratios = [rng.random() for _ in range(300)] + [1.0 - rng.random() * 1e-4 for _ in range(100)]
+        if n > 12:
+            ratios = ratios[::20]
+        bound = owa._screen_margin(n) / 2
+        for r in ratios:
+            assert abs(owa._orness_estimate(n, r) - orness(owa._geometric(n, r))) <= bound, r
+
+    def test_few_steps_build_the_weights(self, monkeypatch):
+        built = []
+        geometric = owa._geometric
+        monkeypatch.setattr(owa, "_geometric", lambda n, r: built.append(r) or geometric(n, r))
+        alphas = grid(1000)
+        for alpha in alphas:
+            mem_weights.__wrapped__(3, alpha)
+        # one of them is the returned vector; the plain bisection builds ~45
+        assert len(built) / len(alphas) < 5
+
+
 def decimal_complement(alpha):
     """The oracle: 1 - alpha in the decimal module's default context."""
     return float(Decimal(1) - Decimal(repr(alpha)))

@@ -22,7 +22,7 @@ from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
 from .owa import DEFAULT_ALPHA, dispersion, mem_weights, orness
 from .pipeline import AssessmentMatrix, decide, source_bpas
-from .zmodel import ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
+from .zmodel import LEXICON, ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -260,6 +260,42 @@ def _file_alpha(doc: dict, name: str) -> float | None:
     return None if alpha is None else _number(alpha, f'{name}: "alpha"')
 
 
+# Each exact lexicon name, to the term's shared shape object.
+_SHAPES = {term.name: term.shape for term in LEXICON}
+# The types a JSON number loads as; bool, which JSON true/false load as, is not one.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _shape(value) -> TrapezoidalFuzzyNumber | None:
+    """The shape of value if it is an exact lexicon name, or five numbers that
+    make a valid shape; None for anything else, which _parse_shape then
+    reads or rejects with its message.
+
+    It raises nothing, so a caller builds the text naming a value only when
+    _parse_shape needs it.  Where both succeed they give equal shapes, and
+    for a name the same object.
+    """
+    if type(value) is str:
+        return _SHAPES.get(value)
+    if type(value) is list and len(value) == 5 and _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            return TrapezoidalFuzzyNumber(*map(float, value))
+        except (OverflowError, ValueError):
+            return None
+    return None
+
+
+def _cell(value) -> ZNumber | None:
+    """value as a ZNumber if it is {"A": shape, "B": shape} and _shape reads
+    both; None for anything else, which _parse_cell then reads or rejects."""
+    if type(value) is dict and len(value) == 2:
+        a = _shape(value.get("A"))
+        b = _shape(value.get("B"))
+        if a is not None and b is not None:
+            return ZNumber(a, b)
+    return None
+
+
 def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
     if isinstance(value, str):
         try:
@@ -316,7 +352,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
         for h in frame_labels:
             if h not in cells:
                 raise InputError(f"{name}: source {label!r} is missing an assessment for {h!r}")
-            row.append(_parse_cell(cells[h], f"{label}/{h}"))
+            row.append(_cell(cells[h]) or _parse_cell(cells[h], f"{label}/{h}"))
         labels.append(label)
         rows.append(tuple(row))
     matrix = AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(rows))
@@ -368,15 +404,13 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
                 f"{name}: line {line_b}: rows must pair up per source, "
                 f"got {row_a[0]!r} then {row_b[0]!r}"
             )
-        cells = tuple(
-            ZNumber(
-                A=_parse_shape(a, f"{name}: line {line_a} ({row_a[0]}/{h})"),
-                B=_parse_shape(b, f"{name}: line {line_b} ({row_a[0]}/{h})"),
-            )
-            for h, a, b in zip(header[1:], row_a[1:], row_b[1:])
-        )
+        cells = []
+        for h, a, b in zip(header[1:], row_a[1:], row_b[1:]):
+            shape_a = _SHAPES.get(a) or _parse_shape(a, f"{name}: line {line_a} ({row_a[0]}/{h})")
+            shape_b = _SHAPES.get(b) or _parse_shape(b, f"{name}: line {line_b} ({row_a[0]}/{h})")
+            cells.append(ZNumber(shape_a, shape_b))
         labels.append(row_a[0])
-        grid.append(cells)
+        grid.append(tuple(cells))
     return AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(grid))
 
 

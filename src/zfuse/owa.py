@@ -9,6 +9,12 @@ tolerance, a margin that grows with n and bounds the rounding of both
 evaluations, does the step build the weights and take their orness.  So each
 step decides as if it had built them, and the weights come out bit for bit
 the same, at a few full evaluations per solve instead of about 45.
+
+Before it bisects, the solver finds the root of the estimate by a few Newton
+steps and checks a bracket around it whose ends clear the screen by the
+margin.  A midpoint outside the bracket is decided by one comparison with its
+ends, which is provably what the screened step would decide there, so only
+the few steps inside it evaluate anything.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ DEFAULT_ALPHA = 0.7
 
 _ORNESS_TOL = 1e-14
 _MAX_BISECTIONS = 200
+# Newton steps _root may take; it stops sooner once a step moves the ratio
+# by less than _NEWTON_STOP of itself
+_NEWTON_STEPS = 50
+_NEWTON_STOP = 1e-9
 # the (n, alpha) vectors mem_weights keeps; the least recently used goes first
 _CACHE_SIZE = 1024
 # significant digits of decimal's default context
@@ -112,7 +122,84 @@ def _screen_margin(n: int) -> float:
     # alpha lies in (0.5, 1) too, so both residuals are exact differences
     # (Sterbenz), and an estimate that clears the tolerance by the margin
     # puts the exact residual on the same side of it.
+    #
+    # The same bound lets mem_weights decide every step outside a bracket
+    # (below, above) with one comparison.  Write E(r) for the orness of the
+    # exact geometric weights, which strictly decreases in r; the estimate is
+    # within (4n - 2)u < margin / 2 of it.  Let screen = _ORNESS_TOL + margin
+    # and clear = screen + margin, and let _bracket have checked that
+    # est(below) - alpha >= clear and est(above) - alpha <= -clear.  For
+    # every mid <= below,
+    #   est(mid) >= E(mid) - margin/2 >= E(below) - margin/2
+    #            >= est(below) - margin >= alpha + screen,
+    # so the screened step finds residual >= screen, skips the full
+    # evaluation and takes lo = mid.  Likewise every mid >= above finds
+    # residual <= -screen and takes hi = mid.  So the bracket changes no
+    # decision, no midpoint and no exit: the bits are the same.  Both
+    # differences est - alpha are exact (Sterbenz), and the factor 2 of the
+    # margin covers the rounding of screen and clear, a few ulps of 1e-14.
+    # Nothing here depends on how close the bracket is to the root: a
+    # bracket that fails its check is not used.
     return (8 * n + 14) * 2.0**-53
+
+
+def _root(n: int, alpha: float) -> tuple[float, float]:
+    # The ratio r where _orness_estimate(n, r) = alpha, and the estimate's
+    # slope there, by Newton steps.  It is the root of f(r) = sum_i
+    # ((n - 1 - i) - alpha (n - 1)) r**i, the estimate's numerator minus
+    # alpha times its denominator: f(0) > 0 > f(1) and its coefficients
+    # change sign once, so it is the one root in (0, 1).  The steps run on
+    # Horner sums of f and f' and start from the secant through (0, f(0))
+    # and (1, f(1)); a step that would leave the interval [lo, hi] known to
+    # hold the root, or that f' >= 0 leaves undefined, bisects it instead.
+    # r only guides _bracket, which checks the ends it puts around it.
+    k = alpha * (n - 1)
+    lo, hi = 0.0, 1.0
+    r = (1.0 - alpha) / ((1.0 - alpha) + n * (alpha - 0.5))
+    for _ in range(_NEWTON_STEPS):
+        f = df = 0.0
+        for coefficient in range(n):
+            df = df * r + f
+            f = f * r + (coefficient - k)
+        if f > 0.0:
+            lo = r
+        elif f < 0.0:
+            hi = r
+        else:
+            break
+        newton = r - f / df if df < 0.0 else -1.0
+        step = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        if abs(step - r) <= _NEWTON_STOP * r:
+            r = step
+            break
+        r = step
+    powers = 0.0
+    for _ in range(n):
+        powers = powers * r + 1.0
+    # f = (n - 1) * powers * (estimate - alpha), and the estimate is alpha at r
+    return r, df / ((n - 1) * powers)
+
+
+def _bracket(n: int, alpha: float, clear: float) -> tuple[float, float]:
+    # (below, above) around _root, with the estimate at least alpha + clear
+    # at below and at most alpha - clear at above (see _screen_margin);
+    # (0.0, 1.0), which holds no midpoint of the bisection, when that fails.
+    root, slope = _root(n, alpha)
+    if not slope < 0.0:
+        # the steps went astray
+        return 0.0, 1.0
+    # twice the distance at which the estimate's tangent clears the screen,
+    # which leaves room for the error of the root
+    delta = -2.0 * clear / slope
+    below, above = root - delta, root + delta
+    if (
+        0.0 < below
+        and above < 1.0
+        and _orness_estimate(n, below) - alpha >= clear
+        and _orness_estimate(n, above) - alpha <= -clear
+    ):
+        return below, above
+    return 0.0, 1.0
 
 
 def _renormalized(ws: list[float]) -> tuple[float, ...]:
@@ -180,20 +267,33 @@ def mem_weights(n: int, alpha: float = DEFAULT_ALPHA) -> WeightVector:
 
     # alpha in (0.5, 1): ratio r in (0, 1), orness strictly decreasing in r
     # from 1 down to 0.5.
-    screen = _ORNESS_TOL + _screen_margin(n)
+    margin = _screen_margin(n)
+    screen = _ORNESS_TOL + margin
+    below, above = _bracket(n, alpha, screen + margin)
     lo, hi = 0.0, 1.0
+    # the weights last built, and the ratio they were built at
+    ws, built = None, -1.0
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        residual = _orness_estimate(n, mid) - alpha
-        if abs(residual) < screen:
-            # near the root: decide on orness of the weights themselves
-            residual = orness(_geometric(n, mid)) - alpha
-            if abs(residual) < _ORNESS_TOL:
-                break
-        if residual > 0.0:
+        # outside the bracket the screened step's decision is known
+        if mid <= below:
             lo = mid
-        else:
+        elif mid >= above:
             hi = mid
+        else:
+            residual = _orness_estimate(n, mid) - alpha
+            if abs(residual) < screen:
+                # near the root: decide on orness of the weights themselves
+                ws, built = _geometric(n, mid), mid
+                residual = orness(ws) - alpha
+                if abs(residual) < _ORNESS_TOL:
+                    break
+            if residual > 0.0:
+                lo = mid
+            else:
+                hi = mid
         if not lo < 0.5 * (lo + hi) < hi:
             break
-    return WeightVector(_renormalized(_geometric(n, mid)), alpha)
+    if built != mid:
+        ws = _geometric(n, mid)
+    return WeightVector(_renormalized(ws), alpha)

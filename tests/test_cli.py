@@ -1,6 +1,7 @@
 """Command-line interface: modes, formats, input handling, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 from zfuse import cli
 from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
+from zfuse.cli import _file_alpha, _label, _not_utf8, _parse_cell, _parse_shape
 from zfuse.evidence import Frame, MassFunction, combine_all
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
+from zfuse.pipeline import AssessmentMatrix
 from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, linguistic_term, rank_znumbers
 
 MEDICAL = str(files("zfuse") / "fixtures" / "medical.json")
@@ -674,9 +677,21 @@ class TestShapeScan:
             shape = json.loads(json.dumps(shape))
             expected = parse_result(loop_shape, shape)
             assert parse_result(cli._parse_shape, shape) == expected, shape
+            # the unchecked read takes a shape only where the loop makes one
+            fast = cli._shape(shape)
+            assert fast is None or repr(fast) == expected, shape
             kinds.add("shape" if isinstance(expected, str) else expected[0])
+            kinds.add("read" if fast is not None else "left")
         # valid shapes, entry errors (exit 2) and invariant errors (exit 3)
-        assert kinds == {"shape", InputError, ValueError}
+        assert kinds == {"shape", InputError, ValueError, "read", "left"}
+
+    def test_names_read_as_the_shared_lexicon_shapes(self):
+        for term in LEXICON:
+            assert cli._shape(term.name) is term.shape
+            assert cli._parse_shape(term.name, "items[0]") is term.shape
+        # any other spelling takes the checked path, which normalizes it
+        for name in ("very_high", " VERY-HIGH ", "very high", "Sorta-high", ""):
+            assert cli._shape(name) is None
 
     def test_cli_exit_code_and_stderr_match_the_loop(self, tmp_path, capsys):
         path = tmp_path / "shapes.json"
@@ -690,6 +705,233 @@ class TestShapeScan:
                 kind, message = expected
                 assert code == (EXIT_PARSE if kind is InputError else EXIT_INVALID), shape
                 assert (out, err) == ("", f"zfuse: {message}\n"), shape
+
+
+# The whole-file oracle: the two loaders as they were when every cell went
+# through _parse_cell and _parse_shape with its location text built first.
+def checked_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
+    """cli._parse_matrix_doc as it was before its cells skipped the checked
+    parse, kept verbatim: the oracle for TestWholeFile."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{name}: expected a top-level object")
+    frame_labels = doc.get("frame")
+    if not isinstance(frame_labels, list) or not all(isinstance(h, str) for h in frame_labels):
+        raise InputError(f'{name}: "frame" must be a list of hypothesis labels')
+    for j, h in enumerate(frame_labels):
+        _label(h, f'{name}: "frame"[{j}]')
+    sources = doc.get("sources")
+    if not isinstance(sources, list) or not sources:
+        raise InputError(f'{name}: "sources" must be a non-empty list')
+    alpha = _file_alpha(doc, name)
+
+    frame = Frame(tuple(frame_labels))
+    labels: list[str] = []
+    rows: list[tuple[ZNumber, ...]] = []
+    for k, entry in enumerate(sources):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise InputError(f'{name}: sources[{k}] needs a "name"')
+        label = _label(entry["name"], f'{name}: sources[{k}] "name"')
+        cells = entry.get("assessments")
+        if not isinstance(cells, dict):
+            raise InputError(f'{name}: source {label!r} needs an "assessments" object')
+        extra = set(cells) - set(frame_labels)
+        if extra:
+            raise InputError(f"{name}: source {label!r} assesses unknown hypotheses {sorted(extra)}")
+        row = []
+        for h in frame_labels:
+            if h not in cells:
+                raise InputError(f"{name}: source {label!r} is missing an assessment for {h!r}")
+            row.append(_parse_cell(cells[h], f"{label}/{h}"))
+        labels.append(label)
+        rows.append(tuple(row))
+    matrix = AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(rows))
+    return matrix, alpha
+
+
+def checked_csv_matrix(path: str) -> AssessmentMatrix:
+    """cli._load_csv_matrix as it was before its cells skipped the checked
+    parse, kept verbatim: the oracle for TestWholeFile."""
+    # imported here, so that JSON input and the other modes never load it
+    import csv
+
+    name = os.path.basename(path)
+    # (first line, stripped cells) of each row that is not blank; errors name
+    # the line a row starts on, counting blank lines
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            line = 1
+            for row in reader:
+                cells = [cell.strip() for cell in row]
+                if any(cells):
+                    rows.append((line, cells))
+                line = reader.line_num + 1
+        except UnicodeDecodeError as err:
+            raise _not_utf8(name, err) from None
+        except csv.Error as err:  # a NUL byte, before Python 3.11
+            raise InputError(f"{name}: {err}") from None
+    if not rows:
+        raise InputError(f"{name}: empty file")
+    header = rows[0][1]
+    if len(header) < 2:
+        raise InputError(f"{name}: header must name a source column and the hypotheses")
+    for j, h in enumerate(header[1:], start=2):
+        _label(h, f"{name}: header column {j}")
+    frame = Frame(tuple(header[1:]))
+    data = rows[1:]
+    if not data or len(data) % 2 != 0:
+        raise InputError(f"{name}: expected two rows (A then B) per source")
+    labels: list[str] = []
+    grid: list[tuple[ZNumber, ...]] = []
+    for (line_a, row_a), (line_b, row_b) in zip(data[::2], data[1::2]):
+        _label(row_a[0], f"{name}: line {line_a}: the source name")
+        for line, row in ((line_a, row_a), (line_b, row_b)):
+            if len(row) != len(header):
+                raise InputError(f"{name}: line {line}: expected {len(header)} columns")
+        if row_a[0] != row_b[0]:
+            raise InputError(
+                f"{name}: line {line_b}: rows must pair up per source, "
+                f"got {row_a[0]!r} then {row_b[0]!r}"
+            )
+        cells = tuple(
+            ZNumber(
+                A=_parse_shape(a, f"{name}: line {line_a} ({row_a[0]}/{h})"),
+                B=_parse_shape(b, f"{name}: line {line_b} ({row_a[0]}/{h})"),
+            )
+            for h, a, b in zip(header[1:], row_a[1:], row_b[1:])
+        )
+        labels.append(row_a[0])
+        grid.append(cells)
+    return AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(grid))
+
+
+def load_result(path):
+    """cli._load_matrix's matrix and alpha, or its error's type and message."""
+    try:
+        return cli._load_matrix(path)
+    except (InputError, ValueError) as err:
+        return type(err), str(err)
+
+
+def checked_result(path):
+    """The same from the checked loaders."""
+    try:
+        if path.endswith(".csv"):
+            return checked_csv_matrix(path), None
+        return checked_matrix_doc(cli._load_json(path), os.path.basename(path))
+    except (InputError, ValueError) as err:
+        return type(err), str(err)
+
+
+# one-cell mutations of a JSON grid; each replaces a part ("A" or "B") of a
+# cell, or changes the cell or the row around it
+JSON_MUTATIONS = [
+    ("vertex", True), ("vertex", "0.5"), ("vertex", 10**400), ("vertex", math.nan), ("vertex", math.inf),
+    ("vertex", -math.inf), ("vertex", -0.0), ("part", [0.5, 0.2, 0.6, 0.7, 1.0]), ("part", [0.1, 0.2, 0.3, 0.4, 0]),
+    ("part", [0.1, 0.2, 0.3, 0.4]), ("part", [0.1, 0.2, 0.3, 0.4, 1.0, 1.0]), ("part", [0, 0, 1, 1, 1]),
+    ("part", "Sorta-high"), ("part", "very_high"), ("part", " VERY-HIGH "), ("part", "Medium"), ("part", None),
+    ("part", {"A": "Low"}), ("cell", "extra key"), ("cell", "only A"), ("cell", "list"),
+    ("row", "missing"), ("row", "extra"), ("none", None),
+]
+CSV_MUTATIONS = ["very_high", " VERY-HIGH ", "very high", "Sorta-high", "true", "NaN", "1e400", "0.5", "", "Medium"]
+
+
+def mutated_json(rng, kind, value):
+    doc = seeded_grid(rng)
+    source = rng.choice(doc["sources"])["assessments"]
+    h = rng.choice(list(source))
+    cell = source[h]
+    part = rng.choice("AB")
+    if kind == "vertex":
+        cell[part] = sorted(round(rng.random(), 3) for _ in range(4)) + [1.0]
+        cell[part][rng.randrange(5)] = value
+    elif kind == "part":
+        cell[part] = value
+    elif kind == "cell":
+        variants = {"extra key": {**cell, "C": "Low"}, "only A": {"A": cell["A"]}, "list": [cell["A"], cell["B"]]}
+        source[h] = variants[value]
+    elif kind == "row" and value == "missing":
+        del source[h]
+    elif kind == "row":
+        source["not in the frame"] = cell
+    if rng.random() < 0.3:
+        doc["alpha"] = rng.choice([0.25, 0.7, 1, True, "0.5", 10**400])
+    # json.dumps writes NaN and Infinity as the literals json.load reads back
+    return json.dumps(doc)
+
+
+def mutated_csv(rng, value):
+    terms = [term.name for term in LEXICON]
+    frame = [f"H{k}" for k in range(rng.randint(3, 6))]
+    rows = [["source", *frame]]
+    for k in range(rng.randint(3, 6)):
+        name = f"E{k}" if rng.random() < 0.7 else f"{rng.choice(ODD_LABELS)} {k}"
+        rows += [[name] + [rng.choice(terms) for _ in frame] for _ in range(2)]
+    rows[rng.randrange(1, len(rows))][rng.randrange(1, len(frame) + 1)] = value
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def lexicon_parts(matrix, parts):
+    """(shape, name) for each cell part written as a string, in matrix order."""
+    pairs = []
+    for row, row_parts in zip(matrix.cells, parts):
+        for z, (a, b) in zip(row, row_parts):
+            pairs += [(shape, name) for shape, name in ((z.A, a), (z.B, b)) if isinstance(name, str)]
+    return pairs
+
+
+class TestWholeFile:
+    """cli._load_matrix reads every file as the checked loaders do: an equal
+    matrix, or the same error with the same message."""
+
+    @staticmethod
+    def assert_same(path):
+        got, want = load_result(path), checked_result(path)
+        assert got == want, path
+        # repr tells -0.0 from 0.0
+        assert repr(got) == repr(want), path
+        return got
+
+    def test_seeded_json_grids_with_one_mutated_cell(self, tmp_path):
+        rng = random.Random(17)
+        outcomes = set()
+        for i in range(400):
+            kind, value = JSON_MUTATIONS[i % len(JSON_MUTATIONS)]
+            path = tmp_path / f"grid{i}.json"
+            text = mutated_json(rng, kind, value)
+            path.write_text(text, encoding="utf-8")
+            got = self.assert_same(str(path))
+            if isinstance(got[0], AssessmentMatrix):
+                outcomes.add("matrix")
+                doc = json.loads(text)
+                rows = [source["assessments"] for source in doc["sources"]]
+                parts = [[(row[h]["A"], row[h]["B"]) for h in doc["frame"]] for row in rows]
+                for shape, name in lexicon_parts(got[0], parts):
+                    assert shape is linguistic_term(name).shape, (path, name)
+            else:
+                outcomes.add(got[0])
+        assert outcomes == {"matrix", InputError, ValueError}
+
+    def test_seeded_csv_grids_with_one_mutated_cell(self, tmp_path):
+        rng = random.Random(18)
+        outcomes = set()
+        for i in range(200):
+            path = tmp_path / f"grid{i}.csv"
+            text = mutated_csv(rng, CSV_MUTATIONS[i % len(CSV_MUTATIONS)])
+            path.write_text(text, encoding="utf-8")
+            got = self.assert_same(str(path))
+            if isinstance(got[0], AssessmentMatrix):
+                outcomes.add("matrix")
+                rows = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text))][1:]
+                parts = [list(zip(a[1:], b[1:])) for a, b in zip(rows[::2], rows[1::2])]
+                for shape, name in lexicon_parts(got[0], parts):
+                    assert shape is linguistic_term(name).shape, (path, name)
+            else:
+                outcomes.add(got[0])
+        assert outcomes == {"matrix", InputError}
 
 
 class TestInputPath:

@@ -249,6 +249,44 @@ class TestScreenedBisection:
         # one of them is the returned vector; the plain bisection builds ~45
         assert len(built) / len(alphas) < 5
 
+    @pytest.mark.parametrize(
+        "n, count", [(n, 200) for n in range(3, 13)] + [(50, 120), (1000, 12), (3000, 5)]
+    )
+    def test_bracket_ends_clear_the_screen(self, n, count):
+        margin = owa._screen_margin(n)
+        clear = (owa._ORNESS_TOL + margin) + margin
+        for alpha in grid(count):
+            below, above = owa._bracket(n, alpha, clear)
+            assert 0.0 < below < above < 1.0, alpha
+            assert owa._orness_estimate(n, below) - alpha >= clear, alpha
+            assert owa._orness_estimate(n, above) - alpha <= -clear, alpha
+            # narrow enough that only the last few steps land inside it
+            assert above - below < 1e-9, alpha
+
+    @pytest.mark.parametrize("n", [3, 7, 50])
+    def test_a_wrong_root_falls_back_to_the_plain_steps(self, n, monkeypatch):
+        root = owa._root
+        monkeypatch.setattr(owa, "_root", lambda n, alpha: (root(n, alpha)[0] + 1e-6, root(n, alpha)[1]))
+        margin = owa._screen_margin(n)
+        alphas = grid(300 if n < 50 else 60)
+        for alpha in alphas:
+            assert owa._bracket(n, alpha, (owa._ORNESS_TOL + margin) + margin) == (0.0, 1.0), alpha
+        self.assert_matches(n, alphas)
+
+    def test_a_cold_solve_evaluates_only_inside_the_bracket(self, monkeypatch):
+        estimated, built = [], []
+        estimate, geometric = owa._orness_estimate, owa._geometric
+        monkeypatch.setattr(owa, "_orness_estimate", lambda n, r: estimated.append(r) or estimate(n, r))
+        monkeypatch.setattr(owa, "_geometric", lambda n, r: built.append(r) or geometric(n, r))
+        for alpha in grid(2000) + [float(f"0.{k:03d}") for k in range(501, 1000)]:
+            estimated.clear()
+            built.clear()
+            mem_weights.__wrapped__(3, alpha)
+            # the bracket's two checks, then the steps inside it; the weights
+            # built last are the ones returned
+            assert len(estimated) <= 8, alpha
+            assert len(built) <= 3, alpha
+
 
 def decimal_complement(alpha):
     """The oracle: 1 - alpha in the decimal module's default context."""

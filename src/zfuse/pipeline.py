@@ -17,11 +17,14 @@ from .evidence import (
     bpa_from_similarities,
     combine_all,
 )
-from .fuzzy import TrapezoidalFuzzyNumber
 from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
-from .zmodel import ReferenceBounds, ZNumber, best_first, similarity
+from .zmodel import LEXICON, ReferenceBounds, ZNumber, best_first, similarity
 
-_FULL_RELIABILITY = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
+# the lexicon's shapes live as long as the process, so their ids stay theirs
+_TERM_INDEX = {id(term.shape): i for i, term in enumerate(LEXICON)}
+_N_TERMS = len(LEXICON)
+# Absolutely-high: a stripped term grid stays on source_bpas' term table
+_FULL_RELIABILITY = LEXICON[-1].shape
 
 
 class AssessmentMatrix(Frozen):
@@ -119,25 +122,31 @@ class DecisionReport(Frozen):
 def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple[MassFunction, ...]:
     """One BPA per source: its row of similarities plus residual ignorance.
 
-    Each distinct (A, B) pair of shape objects is scored once per call.
-    Lexicon terms are shared objects, so a grid written in terms scores at
-    most 81 pairs however large it is; numeric shapes are distinct objects
-    and score once per cell.
+    A cell whose A and B are both lexicon shape objects (as every parser
+    and linguistic_term give them) is scored once per term pair per call,
+    so a grid written in terms costs at most 81 similarity calls however
+    large it is.  Every other cell is scored on its own, including shapes
+    that are shared or value-equal to a term; the BPAs are the same either
+    way.
     """
     refs = ReferenceBounds.from_alpha(alpha)
-    # keyed on identity, not value: hashing a shape field by field costs more
-    # than scoring saves on numeric grids, and the matrix keeps every shape
-    # alive, so no id is reused while the memo lives
-    memo: dict[tuple[int, int], float] = {}
+    term = _TERM_INDEX.get
+    table: list[float | None] = [None] * (_N_TERMS * _N_TERMS)
     bpas = []
     for row in matrix.cells:
         sims = []
         for z in row:
-            key = (id(z.A), id(z.B))
-            s = memo.get(key)
-            if s is None:
-                s = memo[key] = similarity(z, refs)
-            sims.append(s)
+            i = term(id(z.A))
+            if i is not None:
+                j = term(id(z.B))
+                if j is not None:
+                    slot = i * _N_TERMS + j
+                    s = table[slot]
+                    if s is None:
+                        s = table[slot] = similarity(z, refs)
+                    sims.append(s)
+                    continue
+            sims.append(similarity(z, refs))
         bpas.append(bpa_from_similarities(matrix.frame, sims))
     return tuple(bpas)
 

@@ -1,4 +1,5 @@
-"""Trapezoidal fuzzy numbers: validation, membership, centroid, spread."""
+"""Trapezoidal fuzzy numbers: validation, membership, centroid, spread,
+and the copy of centroid and spread that zmodel.ranking_score writes inline."""
 
 import math
 import random
@@ -10,6 +11,8 @@ from hypothesis import example, given, assume, settings
 from hypothesis import strategies as st
 
 from zfuse.fuzzy import TrapezoidalFuzzyNumber, centroid, membership, spread
+from zfuse.owa import DEFAULT_ALPHA, mem_weights
+from zfuse.zmodel import LEXICON, ranking_score
 
 
 def simpson(g, lo, hi):
@@ -365,3 +368,70 @@ class TestSpread:
     @given(trapezoids())
     def test_agrees_with_direct_formula(self, f):
         assert spread(f) == pytest.approx(vertex_std(f.vertices), rel=1e-9, abs=1e-12)
+
+
+def blended_score(f, weights):
+    """H as the blend of fuzzy's own centroid and spread: the oracle for the
+    factors ranking_score computes inline."""
+    w0, w1, w2 = mem_weights(3, DEFAULT_ALPHA) if weights is None else weights
+    return w0 * centroid(f) + w1 * f.w + w2 / (1.0 + spread(f))
+
+
+SCORE_WEIGHTS = [None, *(mem_weights(3, alpha) for alpha in (0.3, 0.5, 0.7, 1.0)), (0.15, 0.6, 0.25)]
+
+
+class TestRankingScoreInline:
+    """ranking_score must give the bits of the blend over centroid and spread,
+    signed zeros, clamps and an infinite spread included."""
+
+    def assert_same_bits(self, f):
+        for weights in SCORE_WEIGHTS:
+            assert ranking_score(f, weights).hex() == blended_score(f, weights).hex()
+
+    def test_lexicon_shapes(self):
+        for term in LEXICON:
+            self.assert_same_bits(term.shape)
+
+    def test_seeded_unit_shapes(self):
+        rng = random.Random(18)
+        for _ in range(1000):
+            vertices = sorted(rng.random() for _ in range(4))
+            self.assert_same_bits(TrapezoidalFuzzyNumber(*vertices, rng.uniform(0.01, 1.0)))
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            # point numbers
+            (0.0, 0.0, 0.0, 0.0),
+            (-0.0, -0.0, -0.0, -0.0),
+            (0.4, 0.4, 0.4, 0.4),
+            (-50.0, -50.0, -50.0, -50.0),
+            (5e-324, 5e-324, 5e-324, 5e-324),
+            # a support one ulp wide
+            (0.05, 0.05000000000000001, 0.05000000000000001, 0.05000000000000001),
+            # far off the unit interval
+            (-1e200, -1e200, 1e200, 1e200),
+            (-1e200, 0.0, 0.0, 1e200),
+            (1e200, 1e200, 1e200, 1e200),
+            (-1e200, -1e200, -1e200, -1e200),
+        ],
+    )
+    def test_pinned_shapes(self, vertices):
+        self.assert_same_bits(TrapezoidalFuzzyNumber(*vertices))
+        self.assert_same_bits(TrapezoidalFuzzyNumber(*vertices, 0.5))
+
+    def test_spread_overflows_to_inf(self):
+        f = TrapezoidalFuzzyNumber(-1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308)
+        assert spread(f) == math.inf
+        self.assert_same_bits(f)
+
+    @pytest.mark.parametrize("vertices", LOWER_CLAMPED)
+    def test_clamped_centroids(self, vertices):
+        f = TrapezoidalFuzzyNumber(*vertices)
+        assert unclamped_centroid(f) < f.a
+        self.assert_same_bits(f)
+
+    @given(st.one_of(edge_trapezoids(), ulp_trapezoids(), trapezoids()))
+    @settings(max_examples=500)
+    def test_generated_shapes(self, f):
+        self.assert_same_bits(f)

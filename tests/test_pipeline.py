@@ -320,7 +320,7 @@ class TestSourceBpas:
 
 
 def unmemoised_bpas(matrix, alpha=0.7):
-    """source_bpas without the memo: one similarity call per cell."""
+    """source_bpas without the term table: one similarity call per cell."""
     refs = ReferenceBounds.from_alpha(alpha)
     return tuple(
         bpa_from_similarities(matrix.frame, [similarity(z, refs) for z in row])
@@ -339,8 +339,30 @@ def counted_similarity(monkeypatch):
     return calls
 
 
+LEXICON_SHAPES = {id(t.shape) for t in LEXICON}
+
+
+def table_calls(matrix):
+    """similarity calls source_bpas makes: one per distinct pair of lexicon
+    shape objects, plus one per cell with any other shape."""
+    pairs = set()
+    other = 0
+    for row in matrix.cells:
+        for c in row:
+            if id(c.A) in LEXICON_SHAPES and id(c.B) in LEXICON_SHAPES:
+                pairs.add((id(c.A), id(c.B)))
+            else:
+                other += 1
+    return len(pairs) + other
+
+
+def unit_shape(rng):
+    return TrapezoidalFuzzyNumber(*sorted(rng.random() for _ in range(4)), rng.uniform(0.5, 1.0))
+
+
 class TestShapeMemo:
-    """source_bpas scores each distinct pair of shape objects once per call."""
+    """source_bpas scores each pair of lexicon shape objects once per call,
+    and every other cell once."""
 
     def grid(self, rng, cell, sources=6, hypotheses=40):
         return AssessmentMatrix(
@@ -356,7 +378,7 @@ class TestShapeMemo:
         assert source_bpas(m) == expected
         distinct = {(id(c.A), id(c.B)) for row in m.cells for c in row}
         assert len(calls) == len(distinct) <= 81
-        source_bpas(m)  # a fresh memo per call
+        source_bpas(m)  # a fresh table per call
         assert len(calls) == 2 * len(distinct)
 
     def test_value_equal_numeric_shapes_are_scored_per_cell(self, monkeypatch):
@@ -366,6 +388,39 @@ class TestShapeMemo:
         calls = counted_similarity(monkeypatch)
         assert source_bpas(m) == expected
         assert len(calls) == 6 * 40
+
+    def test_copies_of_term_shapes_are_scored_per_cell(self, monkeypatch):
+        high = TrapezoidalFuzzyNumber(0.72, 0.78, 0.92, 0.97)
+        assert high == linguistic_term("High").shape and high is not linguistic_term("High").shape
+        terms = self.grid(random.Random(8), lambda rng: z("High", rng.choice(TERMS)))
+        copies = AssessmentMatrix(
+            frame=terms.frame,
+            sources=terms.sources,
+            cells=tuple(tuple(ZNumber(high, c.B) for c in row) for row in terms.cells),
+        )
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(copies) == source_bpas(terms) == unmemoised_bpas(terms)
+        assert len(calls) == 6 * 40 + table_calls(terms)
+        assert table_calls(terms) <= 9
+
+    def test_mixed_grid(self, monkeypatch):
+        def shape(rng):
+            return unit_shape(rng) if rng.random() < 0.4 else linguistic_term(rng.choice(TERMS)).shape
+
+        m = self.grid(random.Random(9), lambda rng: ZNumber(shape(rng), shape(rng)))
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(m) == unmemoised_bpas(m)
+        assert len(calls) == table_calls(m) < 6 * 40
+        # a second call, at another alpha, fills a table of its own
+        assert source_bpas(m, 0.3) == unmemoised_bpas(m, 0.3)
+        assert len(calls) == 2 * table_calls(m)
+
+    def test_stripped_term_grid_stays_on_the_table(self, monkeypatch):
+        m = strip_reliability(self.grid(random.Random(10), lambda rng: z(rng.choice(TERMS), rng.choice(TERMS))))
+        expected = unmemoised_bpas(m)
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(m) == expected
+        assert len(calls) <= 9
 
     def test_clamped_far_off_shapes(self, monkeypatch):
         far = TrapezoidalFuzzyNumber(-1e200, -1e200, 1e200, 1e200)
@@ -381,7 +436,7 @@ class TestShapeMemo:
         calls = counted_similarity(monkeypatch)
         assert source_bpas(m) == expected
         assert any(score_znumber(c).clamped for c in calls)
-        assert len(calls) == len({(id(c.A), id(c.B)) for row in m.cells for c in row})
+        assert len(calls) == table_calls(m)
 
 
 class TestNoMassesDict:

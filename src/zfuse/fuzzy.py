@@ -18,6 +18,9 @@ class TrapezoidalFuzzyNumber(Frozen):
     """Trapezoid vertices (a, b, c, d) plus plateau height w in (0, 1]."""
 
     __match_args__ = ("a", "b", "c", "d", "w")
+    # not a field: each lexicon shape holds its term index here (zmodel sets
+    # it once), every other shape reads this None
+    _term: int | None = None
 
     def __init__(self, a: float, b: float, c: float, d: float, w: float = 1.0) -> None:
         isfinite = math.isfinite

@@ -20,8 +20,6 @@ from .evidence import (
 from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
 from .zmodel import LEXICON, ReferenceBounds, ZNumber, best_first, similarity
 
-# the lexicon's shapes live as long as the process, so their ids stay theirs
-_TERM_INDEX = {id(term.shape): i for i, term in enumerate(LEXICON)}
 _N_TERMS = len(LEXICON)
 # Absolutely-high: a stripped term grid stays on source_bpas' term table
 _FULL_RELIABILITY = LEXICON[-1].shape
@@ -125,20 +123,22 @@ def source_bpas(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> tuple
     A cell whose A and B are both lexicon shape objects (as every parser
     and linguistic_term give them) is scored once per term pair per call,
     so a grid written in terms costs at most 81 similarity calls however
-    large it is.  Every other cell is scored on its own, including shapes
-    that are shared or value-equal to a term; the BPAs are the same either
-    way.
+    large it is.  Such a shape carries its term index as _term, which
+    every other shape reads as None, so recognising a cell takes one or
+    two attribute reads; copies and unpickled lexicon shapes keep the
+    index and their values.  Every other cell is scored on its own,
+    including shapes that are shared or value-equal to a term; the BPAs
+    are the same either way.
     """
     refs = ReferenceBounds.from_alpha(alpha)
-    term = _TERM_INDEX.get
     table: list[float | None] = [None] * (_N_TERMS * _N_TERMS)
     bpas = []
     for row in matrix.cells:
         sims = []
         for z in row:
-            i = term(id(z.A))
+            i = z.A._term
             if i is not None:
-                j = term(id(z.B))
+                j = z.B._term
                 if j is not None:
                     slot = i * _N_TERMS + j
                     s = table[slot]
@@ -173,9 +173,9 @@ def decide(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> DecisionRe
         ) from err
 
     fused = outcome.combined
-    singles = fused.singleton_masses()
+    # singleton_masses is in frame order
     hypotheses = matrix.frame.hypotheses
-    ranking = tuple(hypotheses[j] for j in best_first([singles[h] for h in hypotheses]))
+    ranking = tuple(hypotheses[j] for j in best_first(list(fused.singleton_masses().values())))
     return DecisionReport(
         frame=matrix.frame,
         sources=matrix.sources,

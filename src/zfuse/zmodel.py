@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import neg
 
 from ._frozen import Frozen, set_field
 from .fuzzy import _INV_SQRT12, TrapezoidalFuzzyNumber
@@ -22,6 +23,12 @@ class ZNumber(Frozen):
     __match_args__ = ("A", "B")
 
     def __init__(self, A: TrapezoidalFuzzyNumber, B: TrapezoidalFuzzyNumber) -> None:
+        if not (isinstance(A, TrapezoidalFuzzyNumber) and isinstance(B, TrapezoidalFuzzyNumber)):
+            name, part = ("B", B) if isinstance(A, TrapezoidalFuzzyNumber) else ("A", A)
+            hint = "; pass the term's .shape" if isinstance(part, LinguisticTerm) else ""
+            raise TypeError(
+                f"Z-number part {name} must be a TrapezoidalFuzzyNumber, got {type(part).__name__}{hint}"
+            )
         set_field(self, "A", A)
         set_field(self, "B", B)
 
@@ -45,6 +52,14 @@ LEXICON: tuple[LinguisticTerm, ...] = (
     LinguisticTerm("Very-high", TrapezoidalFuzzyNumber(0.93, 0.98, 1.0, 1.0)),
     LinguisticTerm("Absolutely-high", TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)),
 )
+
+# Mark each lexicon shape with its index, which source_bpas reads to find a
+# term pair.  The marked dict is a new one: adding the key to the instances'
+# shared one would make every shape built afterwards bigger (120 -> 136 B on
+# Python 3.11, 160 -> 287 B on 3.10).
+for _index, _entry in enumerate(LEXICON):
+    set_field(_entry.shape, "__dict__", {**vars(_entry.shape), "_term": _index})
+del _index, _entry
 
 
 def _normalize_term(name: str) -> str:
@@ -107,7 +122,8 @@ def best_first(scores: Sequence[float]) -> list[int]:
     """Indices of scores, highest score first; ties keep input order."""
     if not scores:
         raise ValueError("nothing to rank")
-    return sorted(range(len(scores)), key=lambda i: -scores[i])
+    # the keys -scores[i], made in one C pass instead of a call per index
+    return sorted(range(len(scores)), key=list(map(neg, scores)).__getitem__)
 
 
 def rank_fuzzy(

@@ -1,6 +1,8 @@
 """Decision pipeline: assessment grids through fusion to a ranking."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -339,18 +341,22 @@ def counted_similarity(monkeypatch):
     return calls
 
 
-LEXICON_SHAPES = {id(t.shape) for t in LEXICON}
+def term_mark(shape):
+    """The lexicon index a shape holds in its own __dict__, or None."""
+    return vars(shape).get("_term")
 
 
 def table_calls(matrix):
-    """similarity calls source_bpas makes: one per distinct pair of lexicon
-    shape objects, plus one per cell with any other shape."""
+    """similarity calls source_bpas makes: one per distinct pair of marked
+    lexicon shapes (a term's own shape, or a copy of it), plus one per cell
+    with any other shape."""
     pairs = set()
     other = 0
     for row in matrix.cells:
         for c in row:
-            if id(c.A) in LEXICON_SHAPES and id(c.B) in LEXICON_SHAPES:
-                pairs.add((id(c.A), id(c.B)))
+            i, j = term_mark(c.A), term_mark(c.B)
+            if i is not None and j is not None:
+                pairs.add((i, j))
             else:
                 other += 1
     return len(pairs) + other
@@ -361,7 +367,7 @@ def unit_shape(rng):
 
 
 class TestShapeMemo:
-    """source_bpas scores each pair of lexicon shape objects once per call,
+    """source_bpas scores each pair of marked lexicon shapes once per call,
     and every other cell once."""
 
     def grid(self, rng, cell, sources=6, hypotheses=40):
@@ -421,6 +427,37 @@ class TestShapeMemo:
         calls = counted_similarity(monkeypatch)
         assert source_bpas(m) == expected
         assert len(calls) <= 9
+
+    @pytest.mark.parametrize(
+        "clone, fresh",
+        [(copy.copy, False), (copy.deepcopy, True), (lambda m: pickle.loads(pickle.dumps(m)), True)],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copied_term_grid_stays_on_the_table(self, monkeypatch, clone, fresh):
+        m = self.grid(random.Random(11), lambda rng: z(rng.choice(TERMS), rng.choice(TERMS)))
+        expected = unmemoised_bpas(m)
+        cloned = clone(m)
+        lexicon = {id(t.shape) for t in LEXICON}
+        assert fresh == all(id(c.A) not in lexicon and id(c.B) not in lexicon for row in cloned.cells for c in row)
+        calls = counted_similarity(monkeypatch)
+        assert source_bpas(cloned) == expected
+        assert len(calls) == table_calls(cloned) <= 81
+
+    def test_marker_is_not_a_field(self):
+        for i, t in enumerate(LEXICON):
+            fresh = TrapezoidalFuzzyNumber(t.shape.a, t.shape.b, t.shape.c, t.shape.d, t.shape.w)
+            assert term_mark(t.shape) == t.shape._term == i
+            assert fresh._term is None
+            assert t.shape == fresh and fresh == t.shape
+            assert hash(t.shape) == hash(fresh)
+            assert repr(t.shape) == repr(fresh)
+
+    def test_numeric_shapes_hold_no_marker(self):
+        copy.deepcopy(LEXICON)  # copying marked shapes marks no other shape
+        shape = unit_shape(random.Random(12))
+        for s in (shape, copy.copy(shape), pickle.loads(pickle.dumps(shape))):
+            assert list(vars(s)) == ["a", "b", "c", "d", "w"]
+            assert s._term is None
 
     def test_clamped_far_off_shapes(self, monkeypatch):
         far = TrapezoidalFuzzyNumber(-1e200, -1e200, 1e200, 1e200)

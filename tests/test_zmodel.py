@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,26 @@ def term(name):
 
 IDEAL = ZNumber(TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0), TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0))
 ANTI_IDEAL = ZNumber(TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0), TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0))
+
+
+class TestZNumberParts:
+    def test_a_term_instead_of_its_shape(self):
+        high = linguistic_term("High")
+        with pytest.raises(
+            TypeError, match=r"^Z-number part A must be a TrapezoidalFuzzyNumber, got LinguisticTerm; pass the term's \.shape$"
+        ):
+            ZNumber(high, high.shape)
+
+    @pytest.mark.parametrize("part", [None, 0.5, (0.1, 0.2, 0.3, 0.4, 1.0), "High"])
+    def test_b_that_is_not_a_shape(self, part):
+        with pytest.raises(
+            TypeError, match=rf"^Z-number part B must be a TrapezoidalFuzzyNumber, got {type(part).__name__}$"
+        ):
+            ZNumber(term("High"), part)
+
+    def test_names_a_first(self):
+        with pytest.raises(TypeError, match=r"part A .* got NoneType$"):
+            ZNumber(None, linguistic_term("Low"))
 
 
 class TestLexicon:
@@ -105,6 +126,35 @@ class TestRankFuzzy:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="nothing to rank"):
             rank_fuzzy([])
+
+
+def old_best_first(scores):
+    """best_first as it sorted before: one key call per index."""
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
+
+
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, -math.inf, 1, 0, Fraction(1, 2), Fraction(-1, 3)]),
+    st.floats(allow_nan=True),
+    st.integers(-3, 3),
+    st.fractions(max_denominator=4),
+)
+
+
+class TestBestFirst:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SCORES, min_size=1, max_size=30))
+    def test_same_order_as_the_per_index_key(self, scores):
+        assert zmodel.best_first(scores) == old_best_first(scores)
+        assert zmodel.best_first(tuple(scores)) == old_best_first(scores)
+
+    def test_ties_keep_input_order(self):
+        assert zmodel.best_first([0.5, -0.0, 1, 0.0, Fraction(1, 2), 0]) == [2, 0, 4, 1, 3, 5]
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_rejects_empty_input(self, empty):
+        with pytest.raises(ValueError, match="nothing to rank"):
+            zmodel.best_first(empty)
 
 
 class TestReferenceBounds:

@@ -266,60 +266,48 @@ _SHAPES = {term.name: term.shape for term in LEXICON}
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _shape(value) -> TrapezoidalFuzzyNumber | None:
-    """The shape of value if it is an exact lexicon name, or five numbers that
-    make a valid shape; None for anything else, which _parse_shape then
-    reads or rejects with its message.
+def _parse_shape(value, where: tuple, part: str = "") -> TrapezoidalFuzzyNumber:
+    """value, a term name or [a, b, c, d, w], as a shape.
 
-    It raises nothing, so a caller builds the text naming a value only when
-    _parse_shape needs it.  Where both succeed they give equal shapes, and
-    for a name the same object.
+    where is a (template, *values) tuple that, with part appended, names the
+    value in an error message.  That text is built only for a value the fast
+    cases do not read, and a label among the values is printed as written,
+    braces and all.
     """
-    if type(value) is str:
-        return _SHAPES.get(value)
-    if type(value) is list and len(value) == 5 and _NUMBER_TYPES.issuperset(map(type, value)):
+    # the fast cases: an exact name is the term's shared shape, and five
+    # plain JSON numbers, found by one C scan of their types, need no _number
+    kind = type(value)
+    if kind is str:
+        shape = _SHAPES.get(value)
+        if shape is not None:
+            return shape
+    elif kind is list and len(value) == 5 and _NUMBER_TYPES.issuperset(map(type, value)):
         try:
             return TrapezoidalFuzzyNumber(*map(float, value))
         except (OverflowError, ValueError):
-            return None
-    return None
-
-
-def _cell(value) -> ZNumber | None:
-    """value as a ZNumber if it is {"A": shape, "B": shape} and _shape reads
-    both; None for anything else, which _parse_cell then reads or rejects."""
-    if type(value) is dict and len(value) == 2:
-        a = _shape(value.get("A"))
-        b = _shape(value.get("B"))
-        if a is not None and b is not None:
-            return ZNumber(a, b)
-    return None
-
-
-def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
+            pass  # an int past the float range, or a bad shape: named below
+    place = where[0].format(*where[1:]) + part
     if isinstance(value, str):
         try:
             return linguistic_term(value).shape
         except ValueError as err:
-            raise InputError(f"{where}: {err}") from None
+            raise InputError(f"{place}: {err}") from None
     if isinstance(value, list):
         if len(value) != 5:
-            raise InputError(f"{where}: a numeric shape needs exactly [a, b, c, d, w]")
-        numbers = [_number(v, where) for v in value]
+            raise InputError(f"{place}: a numeric shape needs exactly [a, b, c, d, w]")
+        numbers = [_number(v, place) for v in value]
         try:
             return TrapezoidalFuzzyNumber(*numbers)
         except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-    raise InputError(f"{where}: expected a term name or [a, b, c, d, w], got {value!r}")
+            raise ValueError(f"{place}: {err}") from None
+    raise InputError(f"{place}: expected a term name or [a, b, c, d, w], got {value!r}")
 
 
-def _parse_cell(value, where: str) -> ZNumber:
-    if not isinstance(value, dict) or set(value) != {"A", "B"}:
-        raise InputError(f'{where}: a cell must be an object with exactly "A" and "B"')
-    return ZNumber(
-        A=_parse_shape(value["A"], f"{where}.A"),
-        B=_parse_shape(value["B"], f"{where}.B"),
-    )
+def _parse_cell(value, where: tuple) -> ZNumber:
+    """value, {"A": shape, "B": shape}, as a ZNumber; where as for _parse_shape."""
+    if not isinstance(value, dict) or len(value) != 2 or "A" not in value or "B" not in value:
+        raise InputError(f'{where[0].format(*where[1:])}: a cell must be an object with exactly "A" and "B"')
+    return ZNumber(_parse_shape(value["A"], where, ".A"), _parse_shape(value["B"], where, ".B"))
 
 
 def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
@@ -352,7 +340,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
         for h in frame_labels:
             if h not in cells:
                 raise InputError(f"{name}: source {label!r} is missing an assessment for {h!r}")
-            row.append(_cell(cells[h]) or _parse_cell(cells[h], f"{label}/{h}"))
+            row.append(_parse_cell(cells[h], ("{}/{}", label, h)))
         labels.append(label)
         rows.append(tuple(row))
     matrix = AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(rows))
@@ -395,21 +383,21 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
     labels: list[str] = []
     grid: list[tuple[ZNumber, ...]] = []
     for (line_a, row_a), (line_b, row_b) in zip(data[::2], data[1::2]):
-        _label(row_a[0], f"{name}: line {line_a}: the source name")
+        source = _label(row_a[0], f"{name}: line {line_a}: the source name")
         for line, row in ((line_a, row_a), (line_b, row_b)):
             if len(row) != len(header):
                 raise InputError(f"{name}: line {line}: expected {len(header)} columns")
-        if row_a[0] != row_b[0]:
+        if source != row_b[0]:
             raise InputError(
                 f"{name}: line {line_b}: rows must pair up per source, "
-                f"got {row_a[0]!r} then {row_b[0]!r}"
+                f"got {source!r} then {row_b[0]!r}"
             )
         cells = []
         for h, a, b in zip(header[1:], row_a[1:], row_b[1:]):
-            shape_a = _SHAPES.get(a) or _parse_shape(a, f"{name}: line {line_a} ({row_a[0]}/{h})")
-            shape_b = _SHAPES.get(b) or _parse_shape(b, f"{name}: line {line_b} ({row_a[0]}/{h})")
+            shape_a = _parse_shape(a, ("{}: line {} ({}/{})", name, line_a, source, h))
+            shape_b = _parse_shape(b, ("{}: line {} ({}/{})", name, line_b, source, h))
             cells.append(ZNumber(shape_a, shape_b))
-        labels.append(row_a[0])
+        labels.append(source)
         grid.append(tuple(cells))
     return AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(grid))
 
@@ -465,7 +453,7 @@ def _decide_report(matrix: AssessmentMatrix, alpha: float) -> dict:
 
 
 def _rank_fuzzy_report(items: list, alpha: float) -> dict:
-    shapes = [_parse_shape(item, f"items[{k}]") for k, item in enumerate(items)]
+    shapes = [_parse_shape(item, ("items[{}]", k)) for k, item in enumerate(items)]
     weights = mem_weights(3, alpha)
     scores = [ranking_score(f, weights) for f in shapes]
     entries = [{"score": score, "shape": [f.a, f.b, f.c, f.d, f.w]} for f, score in zip(shapes, scores)]
@@ -473,7 +461,7 @@ def _rank_fuzzy_report(items: list, alpha: float) -> dict:
 
 
 def _rank_z_report(items: list, alpha: float) -> dict:
-    znumbers = [_parse_cell(item, f"items[{k}]") for k, item in enumerate(items)]
+    znumbers = [_parse_cell(item, ("items[{}]", k)) for k, item in enumerate(items)]
     refs = ReferenceBounds.from_alpha(alpha)
     scored = [score_znumber(z, refs) for z in znumbers]
     entries = [

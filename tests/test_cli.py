@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from zfuse import cli
 from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
-from zfuse.cli import _file_alpha, _label, _not_utf8, _parse_cell, _parse_shape
+from zfuse.cli import _file_alpha, _label, _not_utf8
 from zfuse.evidence import Frame, MassFunction, combine_all
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.pipeline import AssessmentMatrix
@@ -631,13 +631,59 @@ class TestStartup:
         assert done.stdout.splitlines() == ["[]", "0 decision: Common-cold"]
 
 
+# The oracle readers: cli._number, cli._parse_shape and cli._parse_cell as
+# they were when every cell took the checked path with its location text
+# built first, kept verbatim.  TestShapeScan and TestWholeFile compare the
+# CLI's one reader with these.
+def _number(value, where: str) -> float:
+    """A JSON number as a float; where names the field in error messages."""
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{where}: expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{where}: number out of float range") from None
+
+
+def _parse_shape(value, where: str) -> TrapezoidalFuzzyNumber:
+    if isinstance(value, str):
+        try:
+            return linguistic_term(value).shape
+        except ValueError as err:
+            raise InputError(f"{where}: {err}") from None
+    if isinstance(value, list):
+        if len(value) != 5:
+            raise InputError(f"{where}: a numeric shape needs exactly [a, b, c, d, w]")
+        numbers = [_number(v, where) for v in value]
+        try:
+            return TrapezoidalFuzzyNumber(*numbers)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+    raise InputError(f"{where}: expected a term name or [a, b, c, d, w], got {value!r}")
+
+
+def _parse_cell(value, where: str) -> ZNumber:
+    if not isinstance(value, dict) or set(value) != {"A", "B"}:
+        raise InputError(f'{where}: a cell must be an object with exactly "A" and "B"')
+    return ZNumber(
+        A=_parse_shape(value["A"], f"{where}.A"),
+        B=_parse_shape(value["B"], f"{where}.B"),
+    )
+
+
 def loop_shape(value, where):
     """_parse_shape on a 5-entry list, one _number call per entry: the oracle for its numeric path."""
-    numbers = [cli._number(v, where) for v in value]
+    numbers = [_number(v, where) for v in value]
     try:
         return TrapezoidalFuzzyNumber(*numbers)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
+
+
+def cli_shape(value, where):
+    """cli._parse_shape with where as its location text."""
+    return cli._parse_shape(value, ("{}", where))
 
 
 def parse_result(parse, value):
@@ -668,7 +714,7 @@ def seeded_shapes(seed, count):
 
 class TestShapeScan:
     """A numeric shape parses, or fails, exactly as the per-entry loop does: a regression
-    guard for its one parse path."""
+    guard for the fast cases of the CLI's one reader."""
 
     def test_matches_the_per_entry_loop(self):
         kinds = set()
@@ -676,22 +722,19 @@ class TestShapeScan:
             # through JSON, as the CLI reads it
             shape = json.loads(json.dumps(shape))
             expected = parse_result(loop_shape, shape)
-            assert parse_result(cli._parse_shape, shape) == expected, shape
-            # the unchecked read takes a shape only where the loop makes one
-            fast = cli._shape(shape)
-            assert fast is None or repr(fast) == expected, shape
+            assert parse_result(cli_shape, shape) == expected, shape
             kinds.add("shape" if isinstance(expected, str) else expected[0])
-            kinds.add("read" if fast is not None else "left")
         # valid shapes, entry errors (exit 2) and invariant errors (exit 3)
-        assert kinds == {"shape", InputError, ValueError, "read", "left"}
+        assert kinds == {"shape", InputError, ValueError}
 
     def test_names_read_as_the_shared_lexicon_shapes(self):
         for term in LEXICON:
-            assert cli._shape(term.name) is term.shape
-            assert cli._parse_shape(term.name, "items[0]") is term.shape
-        # any other spelling takes the checked path, which normalizes it
-        for name in ("very_high", " VERY-HIGH ", "very high", "Sorta-high", ""):
-            assert cli._shape(name) is None
+            assert cli_shape(term.name, "items[0]") is term.shape
+        # any other spelling is normalized to the same shared shape, or named as unknown
+        for name in ("very_high", " VERY-HIGH ", "very high"):
+            assert cli_shape(name, "items[0]") is linguistic_term("Very-high").shape
+        for name in ("Sorta-high", ""):
+            assert parse_result(cli_shape, name) == parse_result(_parse_shape, name)
 
     def test_cli_exit_code_and_stderr_match_the_loop(self, tmp_path, capsys):
         path = tmp_path / "shapes.json"
@@ -708,7 +751,7 @@ class TestShapeScan:
 
 
 # The whole-file oracle: the two loaders as they were when every cell went
-# through _parse_cell and _parse_shape with its location text built first.
+# through the oracle readers above.
 def checked_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     """cli._parse_matrix_doc as it was before its cells skipped the checked
     parse, kept verbatim: the oracle for TestWholeFile."""
@@ -932,6 +975,63 @@ class TestWholeFile:
             else:
                 outcomes.add(got[0])
         assert outcomes == {"matrix", InputError}
+
+
+# labels that would change, or fail, if an error message used them as a format string
+FORMAT_LABELS = ["{}", "{0}", "%s", "back\\slash", "{x} {{", "}"]
+
+
+class TestLocationText:
+    """An error names a bad cell's source, hypothesis and file as they were written."""
+
+    @pytest.mark.parametrize("label", FORMAT_LABELS)
+    @pytest.mark.parametrize(
+        "cell, code, message",
+        [
+            ({"A": "Hgh", "B": "High"}, EXIT_PARSE, ".A: unknown linguistic term 'Hgh'"),
+            ({"A": "Low", "B": [0.1, 0.2, 0.3, 0.4, 0]}, EXIT_INVALID, ".B: height must satisfy 0 < w <= 1, got 0.0"),
+            ({"A": "Low", "B": [0.1, True, 0.3, 0.4, 1]}, EXIT_PARSE, ".B: expected a number, got true"),
+            ({"A": "Low"}, EXIT_PARSE, ': a cell must be an object with exactly "A" and "B"'),
+        ],
+        ids=["term", "height", "bool", "cell"],
+    )
+    def test_json_cell(self, tmp_path, capsys, label, cell, code, message):
+        source, h = f"S{label}", f"{label}H"
+        doc = {"frame": ["a", h], "sources": [{"name": source, "assessments": {"a": {"A": "Low", "B": "High"}, h: cell}}]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got, out, err = run(capsys, "decide", "--input", str(path))
+        assert (got, out) == (code, "")
+        assert err.startswith(f"zfuse: {source}/{h}{message}"), err
+
+    @pytest.mark.parametrize("label", FORMAT_LABELS)
+    def test_csv_cell(self, tmp_path, capsys, label):
+        name = f"g{label}.csv"
+        path = tmp_path / name
+        path.write_text(f"source,a,{label}H\nS{label},Low,High\nS{label},Low,Hgh\n", encoding="utf-8")
+        got, out, err = run(capsys, "decide", "--input", str(path))
+        assert (got, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"zfuse: {name}: line 3 (S{label}/{label}H): unknown linguistic term 'Hgh'"), err
+
+    @pytest.mark.parametrize("label", FORMAT_LABELS)
+    @pytest.mark.parametrize(
+        "mode, items, code, message",
+        [
+            ("rank-fuzzy", ["Low", [0.1, 0.2, 0.3, 0.4, 1.5]], EXIT_INVALID, "items[1]: height must satisfy 0 < w <= 1, got 1.5"),
+            ("rank-fuzzy", ["Low", "Hgh"], EXIT_PARSE, "items[1]: unknown linguistic term 'Hgh'"),
+            ("rank-z", [{"A": "Low", "B": "High"}, {"A": [0, 1], "B": "Low"}], EXIT_PARSE,
+             "items[1].A: a numeric shape needs exactly [a, b, c, d, w]"),
+            ("rank-z", [{"A": "Low", "B": "High", "C": "Low"}], EXIT_PARSE,
+             'items[0]: a cell must be an object with exactly "A" and "B"'),
+        ],
+        ids=["fuzzy-height", "fuzzy-term", "z-length", "z-cell"],
+    )
+    def test_rank_item(self, tmp_path, capsys, label, mode, items, code, message):
+        path = tmp_path / f"items{label}.json"
+        path.write_text(json.dumps(items), encoding="utf-8")
+        got, out, err = run(capsys, mode, "--input", str(path))
+        assert (got, out) == (code, "")
+        assert err.startswith(f"zfuse: {message}"), err
 
 
 class TestInputPath:

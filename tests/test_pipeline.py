@@ -2,8 +2,12 @@
 
 import copy
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -458,6 +462,31 @@ class TestShapeMemo:
         for s in (shape, copy.copy(shape), pickle.loads(pickle.dumps(shape))):
             assert list(vars(s)) == ["a", "b", "c", "d", "w"]
             assert s._term is None
+
+    @pytest.mark.parametrize("clone", ["pickle.loads(pickle.dumps(shape))", "copy.copy(shape)", "copy.deepcopy(shape)"])
+    def test_copying_a_term_shape_grows_no_later_shape(self, clone):
+        # bytes per shape built after the clone, against a process that made none;
+        # a marker added to the instances' shared keys costs 8 B or more each
+        code = (
+            "import copy, pickle, sys, tracemalloc\n"
+            "from zfuse import LEXICON, TrapezoidalFuzzyNumber\n"
+            "shape = LEXICON[3].shape\n"
+            "if sys.argv[1] == 'clone':\n"
+            f"    assert {clone}._term == 3\n"
+            "tracemalloc.start()\n"
+            "before = tracemalloc.get_traced_memory()[0]\n"
+            "keep = [TrapezoidalFuzzyNumber(0.1, 0.2, 0.3, 0.4) for _ in range(10000)]\n"
+            "print((tracemalloc.get_traced_memory()[0] - before) / len(keep))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+
+        def per_shape(arg):
+            done = subprocess.run([sys.executable, "-c", code, arg], capture_output=True, text=True, env=env, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return float(done.stdout)
+
+        control, cloned = per_shape("control"), per_shape("clone")
+        assert abs(cloned - control) < 4, (control, cloned)
 
     def test_clamped_far_off_shapes(self, monkeypatch):
         far = TrapezoidalFuzzyNumber(-1e200, -1e200, 1e200, 1e200)

@@ -11,12 +11,12 @@ between sources.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
@@ -35,7 +35,14 @@ class InputError(Exception):
     """The input file does not match the expected shape."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """A new argparse parser for zfuse's command line.
+
+    argparse is imported here: main reads a well-formed argv without it,
+    and a process that only ever does so never loads it (see _read_argv).
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="zfuse",
         description="Z-number decision fusion: score assessments, build BPAs, combine evidence.",
@@ -46,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         if mode != "weights":
             p.add_argument("--input", "-i", required=True, help="input file (JSON, or CSV for assessment grids)")
         p.add_argument("--alpha", type=float, default=None, help="orness level in [0, 1]; overrides any value in the file (default 0.7)")
-        p.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
+        p.add_argument("--format", dest="fmt", choices=_FORMATS, default="table")
         p.add_argument("--precision", type=int, default=4, help="decimal places in table output, 1..12")
         if mode == "weights":
             p.add_argument("--n", type=int, required=True, help="number of weights")
@@ -54,16 +61,78 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(_parser().parse_args(_alpha_joined(sys.argv[1:] if argv is None else argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(_alpha_joined(argv))
+    return run(args)
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser main uses, built on its first call and kept for the process.
+def _parser():
+    """The one parser main falls back on, built on its first call and kept for the process.
 
     parse_args leaves a parser as it found it, so no call changes the next.
     """
     return build_parser()
+
+
+_FORMATS = ("table", "json")
+
+
+def _format(value: str) -> str:
+    """value, if it is one of --format's choices."""
+    if value not in _FORMATS:
+        raise ValueError(value)
+    return value
+
+
+# The options build_parser gives every mode, then those of a grid or rank
+# mode and of weights: each spelling, to the namespace field it sets and
+# argparse's converter for it.
+_OPTIONS = {"--alpha": ("alpha", float), "--format": ("fmt", _format), "--precision": ("precision", int)}
+_GRID_OPTIONS = {"--input": ("input", str), "-i": ("input", str), **_OPTIONS}
+_WEIGHTS_OPTIONS = {**_OPTIONS, "--n": ("n", int)}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argv as build_parser's parser reads it, if argv is well formed; else None.
+
+    Well formed is a mode, then distinct options of that mode, each spelled
+    in full and written `OPT VALUE` or `--OPT=VALUE`, with the required
+    option (--input, or --n for weights) present and no value empty or
+    starting with '-'.  Values go through argparse's own converters.  The
+    rest, --help, every usage error and any form argparse reads in its own
+    way (an abbreviation, a repeat, a negative number), is left to argparse.
+    """
+    mode = argv[0] if argv else None
+    if mode == "weights":
+        options, required = _WEIGHTS_OPTIONS, "n"
+        fields = {"alpha": None, "fmt": "table", "precision": 4, "n": None}
+    elif mode in _MODES:
+        options, required = _GRID_OPTIONS, "input"
+        fields = {"input": None, "alpha": None, "fmt": "table", "precision": 4}
+    else:
+        return None
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, equals, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if not equals:
+            value = next(tokens, "")
+        if option not in options or not value or value[0] == "-":
+            return None
+        field, convert = options[option]
+        if field in given:
+            return None
+        given.add(field)
+        try:
+            fields[field] = convert(value)
+        except ValueError:  # argparse names the value in its usage error
+            return None
+    if required not in given:
+        return None
+    return SimpleNamespace(mode=mode, **fields)
 
 
 def _alpha_joined(argv: list[str]) -> list[str]:
@@ -92,7 +161,7 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     """Execute one mode; print the full report only after it succeeded."""
     try:
         text = _text(args)
@@ -123,7 +192,7 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _text(args: argparse.Namespace) -> str:
+def _text(args) -> str:
     """Build the mode's report, then dump it as JSON or read the table off it.
 
     alpha is range-checked by mem_weights, which every mode reaches, so any

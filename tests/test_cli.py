@@ -529,7 +529,7 @@ class TestSharedParser:
     """main parses with one parser per process; each call behaves as on a fresh one."""
 
     @pytest.fixture
-    def argvs(self, tmp_path):
+    def well_formed(self, tmp_path):
         paths = {}
         for name, doc in (("shapes", SHAPES), ("zs", ZS), ("grid", GRID)):
             paths[name] = tmp_path / f"{name}.json"
@@ -542,14 +542,17 @@ class TestSharedParser:
             "weights": [["--n", "3"], ["--n", "7"]],
         }
         options = [[], ["--precision", "12"], ["--alpha", "0.3"], ["--alpha", "1", "--precision", "2"]]
-        argvs = [
+        return [
             [mode, *given, "--format", fmt, *extra]
             for mode, given_list in inputs.items()
             for given in given_list
             for fmt in ("table", "json")
             for extra in options
         ]
-        argvs += [
+
+    @pytest.fixture
+    def argvs(self, well_formed):
+        return well_formed + [
             ["decide"],  # argparse: --input is required
             ["weights", "--n", "3", "--alpha", "--format", "json"],
             ["no-such-mode"],
@@ -559,7 +562,6 @@ class TestSharedParser:
             ["decide", "--input", MEDICAL, "--alpha", "-inf", "--format", "json"],
             ["decide", "--input", "/no/such/file.json"],
         ]
-        return argvs
 
     def test_interleaved_calls_match_a_fresh_parser(self, argvs):
         rng = random.Random(9)
@@ -594,6 +596,20 @@ class TestSharedParser:
             cli._parser.cache_clear()
         assert len(builds) == 1
 
+    def test_well_formed_argv_builds_no_parser(self, well_formed):
+        # each option also written --OPT=VALUE, and --input also as -i
+        joined = [[mode, *map("=".join, zip(rest[::2], rest[1::2]))] for mode, *rest in well_formed]
+        short = [["-i" if token == "--input" else token for token in argv] for argv in well_formed]
+        cli._parser.cache_clear()
+        try:
+            for argv in well_formed + joined + short:
+                assert outcome(main, argv)[0] == EXIT_OK, argv
+            assert cli._parser.cache_info().currsize == 0
+            assert outcome(main, ["decide"])[0] == ("exit", EXIT_PARSE)  # --input is required
+            assert cli._parser.cache_info().currsize == 1
+        finally:
+            cli._parser.cache_clear()
+
     def test_import_builds_no_parser(self):
         code = "import zfuse.cli as cli; print(cli._parser.cache_info().currsize)"
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -607,11 +623,102 @@ class TestSharedParser:
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
+# Argv for TestArgvReader: a mode and its options spelled in full, in any
+# order, each written OPT VALUE or --OPT=VALUE with a value its converter
+# takes; then up to two tokens put in, or put in place of a token, from what
+# only argparse reads: an abbreviation, -i=x, a repeat, an option of another
+# mode, a negative or malformed number, an empty value, -h, -- and junk.
+ARGV_VALUES = {
+    "--input": ["g.json", "a=b", "decide", "7"],
+    "--alpha": ["0.3", "1", "0", "nan", "NaN", "inf", "1e400", " 0.5 ", "+0.2"],
+    "--format": ["table", "json"],
+    "--precision": ["3", "12", "+2", " 4", "1_0"],
+    "--n": ["2", "7", "\u0663"],  # an Arabic-Indic three, which int() reads
+}
+ARGV_VALUES["-i"] = ARGV_VALUES["--input"]
+ARGV_JUNK = [
+    *ARGV_VALUES, "--inp", "--i", "--alph", "--a", "--form", "--prec", "-h", "--help", "--", "-", "-x", "-i=x", "-ix",
+    "-1", "-1e-3", "-inf", " -1", "", "JSON", "1.5", "0x10", "--alpha=-1", "--input=", "--n=", "junk", "weights",
+]
+
+
+@st.composite
+def argv_lists(draw):
+    mode = draw(st.sampled_from(list(cli._MODES)))
+    required = "--n" if mode == "weights" else draw(st.sampled_from(["--input", "-i"]))
+    optional = draw(st.lists(st.sampled_from(["--alpha", "--format", "--precision"]), unique=True))
+    argv = [mode]
+    for option in draw(st.permutations([required, *optional])):
+        value = draw(st.sampled_from(ARGV_VALUES[option]))
+        argv += [f"{option}={value}"] if option != "-i" and draw(st.booleans()) else [option, value]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at : at + draw(st.integers(0, 1))] = [draw(st.sampled_from(ARGV_JUNK) | st.text(max_size=3))]
+    return argv
+
+
+class TestArgvReader:
+    """main's own argv reader accepts only what build_parser's parser reads the same way."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argv_lists())
+    def test_agrees_with_argparse_whenever_it_accepts(self, argv):
+        read = cli._read_argv(argv)
+        if read is None:
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                parsed = cli.build_parser().parse_args(cli._alpha_joined(argv))
+            except SystemExit:
+                pytest.fail(f"read {argv} that argparse rejects: {err.getvalue()}")
+        # by repr, so that NaN equals NaN
+        assert {k: repr(v) for k, v in vars(read).items()} == {k: repr(v) for k, v in vars(parsed).items()}
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["decide", "--input", "g.json"], {"mode": "decide", "input": "g.json", "alpha": None, "fmt": "table", "precision": 4}),
+            (["rank-z", "-i", "a=b", "--alpha=nan"], {"mode": "rank-z", "input": "a=b", "alpha": math.nan, "fmt": "table", "precision": 4}),
+            (["weights", "--n=3", "--format", "json", "--precision", "+2"], {"mode": "weights", "alpha": None, "fmt": "json", "precision": 2, "n": 3}),
+        ],
+    )
+    def test_reads_well_formed_argv(self, argv, fields):
+        assert {k: repr(v) for k, v in vars(cli._read_argv(argv)).items()} == {k: repr(v) for k, v in fields.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["decide"],
+            ["weights", "--alpha", "0.3"],
+            ["decide", "--inp", "g.json"],
+            ["decide", "-i=g.json"],
+            ["decide", "--input", "g.json", "-i", "g.json"],
+            ["decide", "--input", "g.json", "--alpha", "-1e-3"],
+            ["decide", "--input", "g.json", "--alpha=-inf"],
+            ["decide", "--input", ""],
+            ["decide", "--input", "g.json", "--n", "3"],
+            ["decide", "--input", "g.json", "--format", "JSON"],
+            ["weights", "--n", "1.5"],
+            ["decide", "--input", "g.json", "--"],
+            ["decide", "-h"],
+            ["--help"],
+            ["decide", "--input", "g.json", "junk"],
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+
 class TestStartup:
     """What every zfuse process pays before it reads its input."""
 
     # heavy modules zfuse used to import; each one is a few ms of start-up
     SLOW_IMPORTS = ("dataclasses", "inspect", "decimal", "csv", "typing", "pathlib")
+    # argparse, and what building its parser loads: shutil for the terminal
+    # width, gettext and locale for its messages
+    ARGPARSE_IMPORTS = ("argparse", "shutil", "locale", "gettext")
 
     def test_import_loads_no_slow_module(self):
         # -I -S: no site hooks, which import some of these themselves
@@ -629,6 +736,33 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "0 decision: Common-cold"]
+
+    def test_well_formed_argv_loads_no_argparse(self):
+        # -I -S, as above; streams are swapped by hand, so that the check
+        # itself imports nothing but io
+        code = (
+            "import io, sys\n"
+            f"sys.path.insert(0, {str(Path(cli.__file__).resolve().parents[1])!r})\n"
+            "import zfuse.cli\n"
+            "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+            f"code = zfuse.cli.main(['decide', '--input', {MEDICAL!r}, '--format', 'json'])\n"
+            "sys.stdout, out = stdout, sys.stdout.getvalue()\n"
+            "print(code, out.rstrip().splitlines()[-2].strip())\n"
+            f"print(sorted(set({self.ARGPARSE_IMPORTS!r}) & set(sys.modules)))\n"
+            # then a usage error, on the parser main builds only now
+            "stderr, sys.stderr = sys.stderr, io.StringIO()\n"
+            "try:\n"
+            "    zfuse.cli.main(['decide'])\n"
+            "except SystemExit as exc:\n"
+            "    sys.stderr, err = stderr, sys.stderr.getvalue()\n"
+            "    print(exc.code, err.splitlines()[0])\n"
+        )
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[:2] == ['0 "decision": "Common-cold"', "[]"]
+        assert lines[2].startswith("2 usage: zfuse decide ")
+        assert len(lines) == 3
 
 
 # The oracle readers: cli._number, cli._parse_shape and cli._parse_cell as

@@ -11,7 +11,6 @@ between sources.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -62,19 +61,8 @@ def build_parser():
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:
-        args = _parser().parse_args(_alpha_joined(argv))
+    args = _read_argv(argv) or build_parser().parse_args(_alpha_joined(argv))
     return run(args)
-
-
-@functools.cache
-def _parser():
-    """The one parser main falls back on, built on its first call and kept for the process.
-
-    parse_args leaves a parser as it found it, so no call changes the next.
-    """
-    return build_parser()
 
 
 _FORMATS = ("table", "json")
@@ -216,24 +204,16 @@ def _text(args) -> str:
 
 # ------------------------------------------------------------- JSON output
 
-class _Unwritable(Exception):
-    """A value _write_json leaves to the stdlib encoder."""
-
-
 def _json_text(report) -> str:
     """json.dumps(report, indent=2), byte for byte, at about twice its speed.
 
     With an indent the stdlib encodes in pure Python; this writer walks the
     containers itself and quotes every string with the C quoting function
-    json.dumps ends up calling.  A value of any type it does not write, such
-    as a float subclass or a non-string key, sends the whole report to
-    json.dumps instead, so the two can never differ.
+    json.dumps ends up calling.  It writes what a report holds: str keys, and
+    values of exactly type str, float, int, bool, None, dict, list or tuple.
     """
     parts: list[str] = []
-    try:
-        _write_json(report, "\n", parts)
-    except _Unwritable:
-        return json.dumps(report, indent=2)
+    _write_json(report, "\n", parts)
     return "".join(parts)
 
 
@@ -258,8 +238,6 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         if kind is dict:
             parts.append("{")
             for key, item in value.items():
-                if type(key) is not str:
-                    raise _Unwritable
                 parts += (separator, _quote(key), ": ")
                 _write_json(item, inner, parts)
                 separator = "," + inner
@@ -272,7 +250,7 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
                 separator = "," + inner
             parts += (newline, "]")
     else:
-        raise _Unwritable
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -1,6 +1,8 @@
 """Decision pipeline: assessment grids through fusion to a ranking."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import pickle
@@ -558,3 +560,107 @@ class TestThetaUnderflow:
         assert len(report.conflict_trace) == 1999
         assert report.decision == report.ranking[0]
         assert sum(report.fused.singleton_masses().values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# as bench/workloads.py: a fold over the sources in another order may round
+# differently, so fused masses agree to this, not bit for bit
+REVERSED_TOL = 1e-9
+
+
+def numeric_rows(rng, sources=40, hypotheses=12):
+    return [[ZNumber(unit_shape(rng), unit_shape(rng)) for _ in range(hypotheses)] for _ in range(sources)]
+
+
+def lexicon_rows(rng, sources=3, hypotheses=300):
+    return [[ZNumber(rng.choice(LEXICON).shape, rng.choice(LEXICON).shape) for _ in range(hypotheses)] for _ in range(sources)]
+
+
+def labelled(rows, hypotheses=None, sources=None):
+    """rows as a matrix; hypotheses and sources default to H0.. and E0.."""
+    return AssessmentMatrix(
+        frame=Frame(hypotheses or tuple(f"H{j}" for j in range(len(rows[0])))),
+        sources=sources or tuple(f"E{i}" for i in range(len(rows))),
+        cells=rows,
+    )
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+SEEDED_ROWS = [(make, seed) for make in (numeric_rows, lexicon_rows) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("make, seed", SEEDED_ROWS, ids=lambda v: getattr(v, "__name__", v))
+class TestMetamorphic:
+    """Exact properties of decide on seeded numeric 40 x 12 and lexicon-only
+    3 x 300 grids, which every fast path must keep together."""
+
+    def test_permuting_hypotheses_permutes_the_result_bit_for_bit(self, make, seed):
+        rng = random.Random(seed)
+        rows = make(rng)
+        base = decide(labelled(rows))
+        order = list(range(len(rows[0])))
+        rng.shuffle(order)
+        hypotheses = tuple(base.frame.hypotheses[j] for j in order)
+        other = decide(labelled([[row[j] for j in order] for row in rows], hypotheses))
+        masses, moved = base.fused.singleton_masses(), other.fused.singleton_masses()
+        assert bits(moved.values()) == bits(masses[h] for h in hypotheses)
+        assert bits([other.fused.theta_mass()]) == bits([base.fused.theta_mass()])
+        assert bits(other.conflict_trace) == bits(base.conflict_trace)
+
+    def test_appending_an_absolutely_low_source_changes_nothing(self, make, seed):
+        rows = make(random.Random(seed))
+        nothing = linguistic_term("Absolutely-low").shape
+        base = decide(labelled(rows))
+        padded = decide(labelled(rows + [[ZNumber(nothing, nothing)] * len(rows[0])]))
+        assert bits(padded.fused.singleton_masses().values()) == bits(base.fused.singleton_masses().values())
+        assert bits([padded.fused.theta_mass()]) == bits([base.fused.theta_mass()])
+        assert padded.ranking == base.ranking
+        assert bits(padded.conflict_trace) == bits(base.conflict_trace + (0.0,))
+
+    def test_permuting_sources_keeps_masses_and_decision(self, make, seed):
+        rng = random.Random(seed)
+        rows = make(rng)
+        m = labelled(rows)
+        base = decide(m)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        other = decide(labelled([rows[i] for i in order], m.frame.hypotheses, tuple(m.sources[i] for i in order)))
+        for h, value in base.fused.singleton_masses().items():
+            assert abs(other.fused.mass(h) - value) <= REVERSED_TOL, h
+        assert abs(other.fused.theta_mass() - base.fused.theta_mass()) <= REVERSED_TOL
+        assert other.decision == base.decision
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_json_and_csv_grids_print_the_same(tmp_path, seed):
+    """A lexicon-only 3 x 300 grid, written as JSON and as CSV, prints the same
+    through the CLI in both modes and both formats."""
+    rng = random.Random(seed)
+    names = [[(rng.choice(TERMS), rng.choice(TERMS)) for _ in range(300)] for _ in range(3)]
+    frame = [f"H{j}" for j in range(300)]
+    doc = {
+        "frame": frame,
+        "sources": [
+            {"name": f"E{i}", "assessments": {h: {"A": a, "B": b} for h, (a, b) in zip(frame, row)}}
+            for i, row in enumerate(names)
+        ],
+    }
+    lines = [",".join(["source", *frame])]
+    for i, row in enumerate(names):
+        lines += [",".join([f"E{i}", *(a for a, _ in row)]), ",".join([f"E{i}", *(b for _, b in row)])]
+    as_json, as_csv = tmp_path / "grid.json", tmp_path / "grid.csv"
+    as_json.write_text(json.dumps(doc))
+    as_csv.write_text("\n".join(lines) + "\n")
+
+    def stdout(path, mode, fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([mode, "--input", str(path), "--format", fmt])
+        assert code == cli.EXIT_OK
+        return out.getvalue()
+
+    for mode in ("decide", "bpa"):
+        for fmt in ("table", "json"):
+            assert stdout(as_csv, mode, fmt) == stdout(as_json, mode, fmt), (mode, fmt)

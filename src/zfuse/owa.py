@@ -2,19 +2,14 @@
 
 Among all weight vectors of length n whose orness equals alpha, the one with
 maximal entropy (dispersion) has weights in geometric progression.  We solve
-for the common ratio by bisection, since orness is strictly decreasing in it.
-Each step first screens its midpoint with a list-free Horner estimate of the
-orness there.  Only when that estimate lies within a margin of the stopping
-tolerance, a margin that grows with n and bounds the rounding of both
-evaluations, does the step build the weights and take their orness.  So each
-step decides as if it had built them, and the weights come out bit for bit
-the same, at a few full evaluations per solve instead of about 45.
+for the common ratio by bisection, since orness is strictly decreasing in it;
+each step builds the weights at its midpoint and takes their orness.
 
-Before it bisects, the solver finds the root of the estimate by a few Newton
-steps and checks a bracket around it whose ends clear the screen by the
-margin.  A midpoint outside the bracket is decided by one comparison with its
-ends, which is provably what the screened step would decide there, so only
-the few steps inside it evaluate anything.
+Before it bisects, the solver finds the root by a few Newton steps and checks
+a bracket around it whose ends clear the stopping tolerance by a margin.  A
+midpoint outside the bracket is decided by one comparison with its ends, as
+the full step provably would decide it, so only the few steps inside build
+weights, and the weights are bit for bit the plain bisection's.
 """
 
 from __future__ import annotations
@@ -28,6 +23,8 @@ from ._frozen import Frozen, set_field
 DEFAULT_ALPHA = 0.7
 
 _ORNESS_TOL = 1e-14
+# what _bracket's ends must clear: the tolerance plus 40 roundoffs (see there)
+_CLEAR = _ORNESS_TOL + 40 * 2.0**-53
 _MAX_BISECTIONS = 200
 # Newton steps _root may take; it stops sooner once a step moves the ratio
 # by less than _NEWTON_STOP of itself
@@ -96,63 +93,16 @@ def _geometric(n: int, r: float) -> list[float]:
     return [p / total for p in powers]
 
 
-def _orness_estimate(n: int, r: float) -> float:
-    # orness(_geometric(n, r)) without building the weights: Horner sums of
-    # r**i and of (n - 1 - i) * r**i, i = 0 .. n-1, in plain floats.
-    powers = ramp = 0.0
-    for coefficient in range(n):
-        powers = powers * r + 1.0
-        ramp = ramp * r + coefficient
-    return ramp / ((n - 1) * powers)
-
-
-def _screen_margin(n: int) -> float:
-    # Twice a bound on |_orness_estimate(n, r) - orness(_geometric(n, r))|.
-    # Every term of both is positive, so nothing cancels and relative errors
-    # add; u = 2**-53 is the unit roundoff.
-    # - orness(_geometric(n, r)): r**i is within an ulp (2u) and fsum adds u,
-    #   so the total is within 3u; a weight p / total within 6u; the product
-    #   by n - i adds u, the fsum u and the division by n - 1 u: 9u.
-    # - The estimate: a Horner sum of positive terms over n - 1 steps is
-    #   within 2(n - 1)u / (1 - 2(n - 1)u) of its value, and the product and
-    #   the quotient add u each: (4n - 2)u, to first order.
-    # Powers that underflow add at most n**2 * 2**-1074, and both values lie
-    # near [0.5, 1], so they differ by at most (4n + 7)u.  The factor 2
-    # covers the second-order terms and a pow a little worse than an ulp.
-    # alpha lies in (0.5, 1) too, so both residuals are exact differences
-    # (Sterbenz), and an estimate that clears the tolerance by the margin
-    # puts the exact residual on the same side of it.
-    #
-    # The same bound lets mem_weights decide every step outside a bracket
-    # (below, above) with one comparison.  Write E(r) for the orness of the
-    # exact geometric weights, which strictly decreases in r; the estimate is
-    # within (4n - 2)u < margin / 2 of it.  Let screen = _ORNESS_TOL + margin
-    # and clear = screen + margin, and let _bracket have checked that
-    # est(below) - alpha >= clear and est(above) - alpha <= -clear.  For
-    # every mid <= below,
-    #   est(mid) >= E(mid) - margin/2 >= E(below) - margin/2
-    #            >= est(below) - margin >= alpha + screen,
-    # so the screened step finds residual >= screen, skips the full
-    # evaluation and takes lo = mid.  Likewise every mid >= above finds
-    # residual <= -screen and takes hi = mid.  So the bracket changes no
-    # decision, no midpoint and no exit: the bits are the same.  Both
-    # differences est - alpha are exact (Sterbenz), and the factor 2 of the
-    # margin covers the rounding of screen and clear, a few ulps of 1e-14.
-    # Nothing here depends on how close the bracket is to the root: a
-    # bracket that fails its check is not used.
-    return (8 * n + 14) * 2.0**-53
-
-
 def _root(n: int, alpha: float) -> tuple[float, float]:
-    # The ratio r where _orness_estimate(n, r) = alpha, and the estimate's
-    # slope there, by Newton steps.  It is the root of f(r) = sum_i
-    # ((n - 1 - i) - alpha (n - 1)) r**i, the estimate's numerator minus
-    # alpha times its denominator: f(0) > 0 > f(1) and its coefficients
-    # change sign once, so it is the one root in (0, 1).  The steps run on
-    # Horner sums of f and f' and start from the secant through (0, f(0))
-    # and (1, f(1)); a step that would leave the interval [lo, hi] known to
-    # hold the root, or that f' >= 0 leaves undefined, bisects it instead.
-    # r only guides _bracket, which checks the ends it puts around it.
+    # The ratio r where the exact geometric weights have orness alpha, and
+    # the orness's slope there, by Newton steps.  That orness is
+    # sum_i (n - 1 - i) r**i / ((n - 1) sum_i r**i), so r is the root of
+    # f(r) = sum_i ((n - 1 - i) - alpha (n - 1)) r**i: f(0) > 0 > f(1) and
+    # its coefficients change sign once, so it is the one root in (0, 1).
+    # The steps run on Horner sums of f and f' from the secant through
+    # (0, f(0)) and (1, f(1)); a step that would leave the interval [lo, hi]
+    # known to hold the root, or that f' >= 0 leaves undefined, bisects it
+    # instead.  r only guides _bracket, which checks the ends it puts around it.
     k = alpha * (n - 1)
     lo, hi = 0.0, 1.0
     r = (1.0 - alpha) / ((1.0 - alpha) + n * (alpha - 0.5))
@@ -176,27 +126,43 @@ def _root(n: int, alpha: float) -> tuple[float, float]:
     powers = 0.0
     for _ in range(n):
         powers = powers * r + 1.0
-    # f = (n - 1) * powers * (estimate - alpha), and the estimate is alpha at r
+    # f = (n - 1) * powers * (orness - alpha), and the orness is alpha at r
     return r, df / ((n - 1) * powers)
 
 
-def _bracket(n: int, alpha: float, clear: float) -> tuple[float, float]:
-    # (below, above) around _root, with the estimate at least alpha + clear
-    # at below and at most alpha - clear at above (see _screen_margin);
-    # (0.0, 1.0), which holds no midpoint of the bisection, when that fails.
+def _bracket(n: int, alpha: float) -> tuple[float, float]:
+    # (below, above) around _root, with the orness of the weights at least
+    # alpha + _CLEAR at below and at most alpha - _CLEAR at above; (0.0, 1.0),
+    # which holds no midpoint of the bisection, when that fails.
+    #
+    # Why a step outside it needs no weights: write F(r) for
+    # orness(_geometric(n, r)) and E(r) for the exact orness, which strictly
+    # decreases in r.  No term of F cancels, so relative errors add: with
+    # u = 2**-53, r**i is within 2u, its fsum 3u, a weight 6u, and the
+    # product by n - i, the fsum and the division by n - 1 add u each.  F
+    # and E lie in [0.5, 1], so |F - E| <= 9u for any n (underflow adds at
+    # most n**2 * 2**-1074).  So for every mid <= below,
+    #   F(mid) >= E(mid) - 9u >= E(below) - 9u >= F(below) - 18u
+    #          >= alpha + _CLEAR - 18u = alpha + _ORNESS_TOL + 22u,
+    # so the full step finds residual > _ORNESS_TOL and takes lo = mid;
+    # likewise every mid >= above takes hi = mid.  So the bracket changes no
+    # decision, midpoint or exit: the bits are the same.  The residuals
+    # F - alpha are exact (Sterbenz, as alpha lies in (0.5, 1)), and the 22u
+    # left over covers the rounding of _CLEAR.  A bracket that fails its
+    # check is not used, however close to the root it is.
     root, slope = _root(n, alpha)
     if not slope < 0.0:
         # the steps went astray
         return 0.0, 1.0
-    # twice the distance at which the estimate's tangent clears the screen,
-    # which leaves room for the error of the root
-    delta = -2.0 * clear / slope
+    # twice the distance at which the tangent clears _CLEAR plus the root's
+    # error, which Horner sums of f over n terms keep within 2nu in orness
+    delta = -2.0 * (_CLEAR + 2 * n * 2.0**-53) / slope
     below, above = root - delta, root + delta
     if (
         0.0 < below
         and above < 1.0
-        and _orness_estimate(n, below) - alpha >= clear
-        and _orness_estimate(n, above) - alpha <= -clear
+        and orness(_geometric(n, below)) - alpha >= _CLEAR
+        and orness(_geometric(n, above)) - alpha <= -_CLEAR
     ):
         return below, above
     return 0.0, 1.0
@@ -267,27 +233,22 @@ def mem_weights(n: int, alpha: float = DEFAULT_ALPHA) -> WeightVector:
 
     # alpha in (0.5, 1): ratio r in (0, 1), orness strictly decreasing in r
     # from 1 down to 0.5.
-    margin = _screen_margin(n)
-    screen = _ORNESS_TOL + margin
-    below, above = _bracket(n, alpha, screen + margin)
+    below, above = _bracket(n, alpha)
     lo, hi = 0.0, 1.0
     # the weights last built, and the ratio they were built at
     ws, built = None, -1.0
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        # outside the bracket the screened step's decision is known
+        # outside the bracket the full step's decision is known
         if mid <= below:
             lo = mid
         elif mid >= above:
             hi = mid
         else:
-            residual = _orness_estimate(n, mid) - alpha
-            if abs(residual) < screen:
-                # near the root: decide on orness of the weights themselves
-                ws, built = _geometric(n, mid), mid
-                residual = orness(ws) - alpha
-                if abs(residual) < _ORNESS_TOL:
-                    break
+            ws, built = _geometric(n, mid), mid
+            residual = orness(ws) - alpha
+            if abs(residual) < _ORNESS_TOL:
+                break
             if residual > 0.0:
                 lo = mid
             else:

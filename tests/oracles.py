@@ -1,0 +1,160 @@
+"""Independent oracles shared by the test modules, and reference_decide, which
+builds the paper's whole decision from them.
+
+Each oracle computes a layer's result another way than the library does:
+plain_weights by the bisection that builds the weights at every step,
+quadrature_centroid by exact quadrature of the membership function,
+vertex_std by the textbook standard deviation, and reference_combine by
+Dempster's rule over frozensets.
+"""
+
+import math
+from fractions import Fraction
+
+from zfuse import owa
+from zfuse.fuzzy import TrapezoidalFuzzyNumber, membership
+from zfuse.owa import _complement, orness
+
+
+def plain_weights(n, alpha):
+    """mem_weights(n, alpha).weights by the plain bisection, which builds the
+    weights and takes their orness at every step: the oracle for the
+    bracketed one, for alpha in (0.5, 1).  n = 2 has a closed form and never
+    bisects."""
+    if n == 2:
+        return (alpha, _complement(alpha))
+    lo, hi = 0.0, 1.0
+    ws = owa._geometric(n, 0.5)
+    for _ in range(owa._MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        ws = owa._geometric(n, mid)
+        residual = orness(ws) - alpha
+        if abs(residual) < owa._ORNESS_TOL:
+            break
+        if residual > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if not lo < 0.5 * (lo + hi) < hi:
+            break
+    return owa._renormalized(ws)
+
+
+def simpson(g, lo, hi):
+    """Simpson's rule on [lo, hi]; exact for polynomials up to degree 3."""
+    if hi <= lo:
+        return 0
+    return (g(lo) + 4 * g((lo + hi) / 2) + g(hi)) * (hi - lo) / 6
+
+
+def quadrature_centroid(f):
+    """Centroid via piecewise quadrature of the membership function.
+
+    The integrands are at most quadratic per piece, membership included at
+    the piece's ends, so Simpson's rule is exact.  The shape is rebuilt on
+    Fraction vertices, so every step is exact rational arithmetic and only
+    the result is rounded: no support is too narrow or too small to resolve,
+    where a float rule's area can round to 0 on a support one ulp wide.
+    """
+    g = TrapezoidalFuzzyNumber(*map(Fraction, (f.a, f.b, f.c, f.d, f.w)))
+    area = moment = 0
+    for lo, hi in ((g.a, g.b), (g.b, g.c), (g.c, g.d)):
+        area += simpson(lambda x: membership(g, x), lo, hi)
+        moment += simpson(lambda x: x * membership(g, x), lo, hi)
+    return float(moment / area)
+
+
+def vertex_std(vertices):
+    mean = sum(vertices) / 4.0
+    return math.sqrt(sum((v - mean) ** 2 for v in vertices) / 3.0)
+
+
+def reference_combine(m1, m2):
+    """Independent frozenset-based implementation of Dempster's rule.
+
+    Same math, different bookkeeping; used to cross-check the bitmask
+    version.  Returns (masses keyed by frozenset, conflict).
+    """
+    return combine_sets(focal_sets(m1), focal_sets(m2))
+
+
+def focal_sets(m):
+    """A MassFunction's masses keyed by the frozenset of their labels."""
+    return {frozenset(labels): v for labels, v in m.focal_items()}
+
+
+def combine_sets(lhs, rhs):
+    """reference_combine on masses keyed by frozenset."""
+    combined = {}
+    conflict = 0.0
+    for s1, v1 in lhs.items():
+        for s2, v2 in rhs.items():
+            inter = s1 & s2
+            if inter:
+                combined[inter] = combined.get(inter, 0.0) + v1 * v2
+            else:
+                conflict += v1 * v2
+    return {s: v / (1.0 - conflict) for s, v in combined.items()}, conflict
+
+
+def reference_weights(n, alpha):
+    """mem_weights(n, alpha).weights as its docstring states them: n = 2 is
+    (alpha, 1 - alpha), alpha 1 is one-hot, 0.5 uniform, alpha < 0.5 the
+    reverse of 1 - alpha's, and every other alpha the plain bisection's."""
+    if n == 2:
+        return plain_weights(2, alpha)
+    if alpha == 1.0:
+        return (1.0,) + (0.0,) * (n - 1)
+    if alpha == 0.5:
+        return (1.0 / n,) * n
+    if alpha < 0.5:
+        return tuple(reversed(reference_weights(n, 1.0 - alpha)))
+    return plain_weights(n, alpha)
+
+
+IDEAL = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
+ANTI_IDEAL = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0)
+
+
+def reference_decide(matrix, alpha):
+    """decide(matrix, alpha) from the oracles, by the paper's formulas.
+
+    H(f) = w0 * centroid + w1 * height + w2 / (1 + spread) on the length-3
+    weights; a Z-number's deviation is the root of the length-2 blend of
+    (H(A) - H(ideal))**2 and (H(B) - H(ideal))**2 over that of the
+    anti-ideal, cut back to 1, and its similarity 1 - deviation.  Each
+    source's BPA gives every hypothesis its similarity and the frame
+    1 - max, normalised, and the BPAs are folded left by Dempster's rule.
+    Returns (per-source masses, fused masses, conflict trace, ranking), the
+    masses keyed by frozensets of labels.
+    """
+    w0, w1, w2 = reference_weights(3, alpha)
+    c1, c2 = reference_weights(2, alpha)
+
+    def score(f):
+        # a point number has no area; its centroid is its one vertex
+        x = f.a if f.a == f.d else quadrature_centroid(f)
+        return w0 * x + w1 * f.w + w2 / (1.0 + vertex_std(f.vertices))
+
+    hmax, hmin = score(IDEAL), score(ANTI_IDEAL)
+
+    def similarity(z):
+        da, db = score(z.A) - hmax, score(z.B) - hmax
+        deviation = math.sqrt((c1 * da * da + c2 * db * db) / ((c1 + c2) * (hmin - hmax) ** 2))
+        return 1.0 - min(deviation, 1.0)
+
+    hypotheses = matrix.frame.hypotheses
+    bpas = []
+    for row in matrix.cells:
+        sims = [similarity(z) for z in row]
+        residual = 1.0 - max(sims)
+        total = sum(sims) + residual
+        bpa = {frozenset([h]): s / total for h, s in zip(hypotheses, sims)}
+        bpa[frozenset(hypotheses)] = residual / total
+        bpas.append(bpa)
+    fused, trace = bpas[0], []
+    for bpa in bpas[1:]:
+        fused, conflict = combine_sets(fused, bpa)
+        trace.append(conflict)
+    ranking = sorted(hypotheses, key=lambda h: -fused.get(frozenset([h]), 0.0))
+    return bpas, fused, trace, ranking

@@ -23,27 +23,9 @@ from zfuse.evidence import (
 from zfuse.pipeline import AssessmentMatrix, decide
 from zfuse.zmodel import LEXICON, ZNumber
 
+from oracles import reference_combine
+
 ABC = Frame(("A", "B", "C"))
-
-
-def reference_combine(m1, m2):
-    """Independent frozenset-based implementation of Dempster's rule.
-
-    Same math, different bookkeeping; used to cross-check the bitmask
-    version.  Returns (masses keyed by frozenset, conflict).
-    """
-    lhs = {frozenset(labels): v for labels, v in m1.focal_items()}
-    rhs = {frozenset(labels): v for labels, v in m2.focal_items()}
-    combined = {}
-    conflict = 0.0
-    for s1, v1 in lhs.items():
-        for s2, v2 in rhs.items():
-            inter = s1 & s2
-            if inter:
-                combined[inter] = combined.get(inter, 0.0) + v1 * v2
-            else:
-                conflict += v1 * v2
-    return {s: v / (1.0 - conflict) for s, v in combined.items()}, conflict
 
 
 def random_mass(rng, frame, max_focal=4):

@@ -4,7 +4,6 @@ and the copy of centroid and spread that zmodel.ranking_score writes inline."""
 import math
 import random
 import statistics
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, assume, settings
@@ -14,34 +13,7 @@ from zfuse.fuzzy import TrapezoidalFuzzyNumber, centroid, membership, spread
 from zfuse.owa import DEFAULT_ALPHA, mem_weights
 from zfuse.zmodel import LEXICON, ranking_score
 
-
-def simpson(g, lo, hi):
-    """Simpson's rule on [lo, hi]; exact for polynomials up to degree 3."""
-    if hi <= lo:
-        return 0
-    return (g(lo) + 4 * g((lo + hi) / 2) + g(hi)) * (hi - lo) / 6
-
-
-def quadrature_centroid(f):
-    """Centroid via piecewise quadrature of the membership function.
-
-    The integrands are at most quadratic per piece, membership included at
-    the piece's ends, so Simpson's rule is exact.  The shape is rebuilt on
-    Fraction vertices, so every step is exact rational arithmetic and only
-    the result is rounded: no support is too narrow or too small to resolve,
-    where a float rule's area can round to 0 on a support one ulp wide.
-    """
-    g = TrapezoidalFuzzyNumber(*map(Fraction, (f.a, f.b, f.c, f.d, f.w)))
-    area = moment = 0
-    for lo, hi in ((g.a, g.b), (g.b, g.c), (g.c, g.d)):
-        area += simpson(lambda x: membership(g, x), lo, hi)
-        moment += simpson(lambda x: x * membership(g, x), lo, hi)
-    return float(moment / area)
-
-
-def vertex_std(vertices):
-    mean = sum(vertices) / 4.0
-    return math.sqrt(sum((v - mean) ** 2 for v in vertices) / 3.0)
+from oracles import quadrature_centroid, vertex_std
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from zfuse import owa
 from zfuse.owa import WeightVector, _complement, dispersion, mem_weights, orness
+
+from oracles import plain_weights
 
 alphas = st.floats(0.0, 1.0, allow_nan=False)
 sizes = st.integers(2, 8)
@@ -149,29 +152,6 @@ class TestMemWeights:
             assert v[i] > v[i + 1]
 
 
-def plain_weights(n, alpha):
-    """mem_weights(n, alpha).weights by the plain bisection, which builds the
-    weights and takes their orness at every step: the oracle for the screened
-    one, for alpha in (0.5, 1).  n = 2 has a closed form and never bisects."""
-    if n == 2:
-        return (alpha, _complement(alpha))
-    lo, hi = 0.0, 1.0
-    ws = owa._geometric(n, 0.5)
-    for _ in range(owa._MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        ws = owa._geometric(n, mid)
-        residual = orness(ws) - alpha
-        if abs(residual) < owa._ORNESS_TOL:
-            break
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if not lo < 0.5 * (lo + hi) < hi:
-            break
-    return owa._renormalized(ws)
-
-
 def neighbours(x, toward, count=60):
     """The count floats next to x, stepping toward toward."""
     out = []
@@ -187,8 +167,8 @@ def grid(count):
 
 
 class TestScreenedBisection:
-    """mem_weights decides far steps on a Horner estimate of orness; its
-    weights must equal the plain bisection's bit for bit."""
+    """mem_weights decides the steps outside a verified bracket by one
+    comparison; its weights must equal the plain bisection's bit for bit."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -229,15 +209,21 @@ class TestScreenedBisection:
         for alpha in low:
             assert mem_weights(n, alpha).weights == tuple(reversed(plain_weights(n, 1.0 - alpha))), (n, alpha)
 
-    @pytest.mark.parametrize("n", [3, 4, 12, 200, 3000])
-    def test_estimate_error_is_within_half_the_margin(self, n):
+    @pytest.mark.parametrize("n", [3, 4, 12, 200])
+    def test_orness_is_within_nine_roundoffs_of_exact(self, n):
+        # the premise of _bracket's proof: |F - E| <= 9u, with E the orness
+        # of the exact geometric weights, in integers: r = p / q gives
+        # E = sum_i (n - 1 - i) t_i / ((n - 1) sum_i t_i), t_i = p**i q**(n-1-i)
         rng = random.Random(n)
         ratios = [rng.random() for _ in range(300)] + [1.0 - rng.random() * 1e-4 for _ in range(100)]
         if n > 12:
-            ratios = ratios[::20]
-        bound = owa._screen_margin(n) / 2
+            ratios = ratios[::10]
+        bound = Fraction(9, 2**53)
         for r in ratios:
-            assert abs(owa._orness_estimate(n, r) - orness(owa._geometric(n, r))) <= bound, r
+            p, q = r.as_integer_ratio()
+            terms = [p**i * q ** (n - 1 - i) for i in range(n)]
+            exact = Fraction(sum((n - 1 - i) * t for i, t in enumerate(terms)), (n - 1) * sum(terms))
+            assert abs(Fraction(orness(owa._geometric(n, r))) - exact) <= bound, r
 
     def test_few_steps_build_the_weights(self, monkeypatch):
         built = []
@@ -253,13 +239,11 @@ class TestScreenedBisection:
         "n, count", [(n, 200) for n in range(3, 13)] + [(50, 120), (1000, 12), (3000, 5)]
     )
     def test_bracket_ends_clear_the_screen(self, n, count):
-        margin = owa._screen_margin(n)
-        clear = (owa._ORNESS_TOL + margin) + margin
         for alpha in grid(count):
-            below, above = owa._bracket(n, alpha, clear)
+            below, above = owa._bracket(n, alpha)
             assert 0.0 < below < above < 1.0, alpha
-            assert owa._orness_estimate(n, below) - alpha >= clear, alpha
-            assert owa._orness_estimate(n, above) - alpha <= -clear, alpha
+            assert orness(owa._geometric(n, below)) - alpha >= owa._CLEAR, alpha
+            assert orness(owa._geometric(n, above)) - alpha <= -owa._CLEAR, alpha
             # narrow enough that only the last few steps land inside it
             assert above - below < 1e-9, alpha
 
@@ -267,25 +251,24 @@ class TestScreenedBisection:
     def test_a_wrong_root_falls_back_to_the_plain_steps(self, n, monkeypatch):
         root = owa._root
         monkeypatch.setattr(owa, "_root", lambda n, alpha: (root(n, alpha)[0] + 1e-6, root(n, alpha)[1]))
-        margin = owa._screen_margin(n)
         alphas = grid(300 if n < 50 else 60)
         for alpha in alphas:
-            assert owa._bracket(n, alpha, (owa._ORNESS_TOL + margin) + margin) == (0.0, 1.0), alpha
+            assert owa._bracket(n, alpha) == (0.0, 1.0), alpha
         self.assert_matches(n, alphas)
 
     def test_a_cold_solve_evaluates_only_inside_the_bracket(self, monkeypatch):
-        estimated, built = [], []
-        estimate, geometric = owa._orness_estimate, owa._geometric
-        monkeypatch.setattr(owa, "_orness_estimate", lambda n, r: estimated.append(r) or estimate(n, r))
+        built = []
+        geometric = owa._geometric
         monkeypatch.setattr(owa, "_geometric", lambda n, r: built.append(r) or geometric(n, r))
         for alpha in grid(2000) + [float(f"0.{k:03d}") for k in range(501, 1000)]:
-            estimated.clear()
+            below, above = owa._bracket(3, alpha)
             built.clear()
             mem_weights.__wrapped__(3, alpha)
-            # the bracket's two checks, then the steps inside it; the weights
-            # built last are the ones returned
-            assert len(estimated) <= 8, alpha
-            assert len(built) <= 3, alpha
+            # the bracket's two ends, then at most three steps inside it; the
+            # weights built last are the ones returned
+            assert built[:2] == [below, above], alpha
+            assert all(below < r < above for r in built[2:]), alpha
+            assert len(built) <= 5, alpha
 
 
 def decimal_complement(alpha):

@@ -68,13 +68,10 @@ class Frame(Frozen):
         except ValueError:
             raise ValueError(f"unknown hypothesis {label!r}") from None
 
-    def singleton(self, label: str) -> int:
-        return 1 << self.index(label)
-
     def subset(self, labels: Iterable[str]) -> int:
         mask = 0
         for label in labels:
-            mask |= self.singleton(label)
+            mask |= 1 << self.index(label)
         return mask
 
     def labels(self, mask: int) -> tuple[str, ...]:
@@ -122,18 +119,6 @@ class MassFunction(Frozen):
         return _vector_masses(self.frame, *self._vector)
 
     @classmethod
-    def from_items(
-        cls, frame: Frame, items: Mapping[str | tuple[str, ...], float]
-    ) -> "MassFunction":
-        """Build from labels: a key is one hypothesis or a tuple of them."""
-        masses: dict[int, float] = {}
-        for key, value in items.items():
-            labels = (key,) if isinstance(key, str) else tuple(key)
-            mask = frame.subset(labels)
-            masses[mask] = masses.get(mask, 0.0) + value
-        return cls(frame, masses)
-
-    @classmethod
     def _from_vector(cls, frame: Frame, singles: list[float], theta_mass: float) -> "MassFunction":
         """Singleton masses in frame order plus the frame's mass.
 
@@ -148,15 +133,6 @@ class MassFunction(Frozen):
         # the one-hypothesis frame, or a vector that a scan rejects: the
         # constructor builds the dict now, or raises its usual error
         return cls(frame, _vector_masses(frame, singles, theta_mass))
-
-    @classmethod
-    def vacuous(cls, frame: Frame) -> "MassFunction":
-        """Total ignorance: all mass on the whole frame."""
-        return cls(frame, {frame.theta: 1.0})
-
-    def mass(self, key: str | Iterable[str]) -> float:
-        labels = (key,) if isinstance(key, str) else tuple(key)
-        return self.masses.get(self.frame.subset(labels), 0.0)
 
     def theta_mass(self) -> float:
         vector = self._vector

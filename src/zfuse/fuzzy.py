@@ -49,10 +49,6 @@ class TrapezoidalFuzzyNumber(Frozen):
         else:
             self.__dict__.update(state)
 
-    @property
-    def vertices(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
 
 def membership(f: TrapezoidalFuzzyNumber, x: float) -> float:
     """Membership grade of x, in [0, w].

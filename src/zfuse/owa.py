@@ -186,20 +186,18 @@ def _complement(alpha: float) -> float:
     # Decimal(1) - Decimal(repr(alpha)) rounds it.
     mantissa, _, exponent = repr(alpha).partition("e")
     whole, _, fraction = mantissa.partition(".")
-    # repr(alpha) is digits * 10**exp exactly, and 1 - it is coefficient * 10**exp
+    # repr(alpha) is digits * 10**exp exactly, and 1 - it is coefficient * 10**exp;
+    # mem_weights passes alpha in (0, 1) only, whose repr has a fraction or a
+    # negative exponent, so exp < 0 and coefficient > 0
     digits = int(whole + fraction)
     exp = int(exponent or 0) - len(fraction)
-    if exp < 0:
-        coefficient = 10**-exp - digits
-    else:
-        coefficient, exp = 1 - digits * 10**exp, 0
-    excess = len(str(abs(coefficient))) - _DECIMAL_PRECISION
+    coefficient = 10**-exp - digits
+    excess = len(str(coefficient)) - _DECIMAL_PRECISION
     if excess > 0:
         unit = 10**excess
-        kept, dropped = divmod(abs(coefficient), unit)
-        if 2 * dropped > unit or (2 * dropped == unit and kept % 2):
-            kept += 1
-        coefficient = kept if coefficient > 0 else -kept
+        coefficient, dropped = divmod(coefficient, unit)
+        if 2 * dropped > unit or (2 * dropped == unit and coefficient % 2):
+            coefficient += 1
         exp += excess
     return float(f"{coefficient}e{exp}")
 

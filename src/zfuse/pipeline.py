@@ -56,13 +56,6 @@ class AssessmentMatrix(Frozen):
         set_field(self, "sources", sources)
         set_field(self, "cells", cells)
 
-    def cell(self, source: str, hypothesis: str) -> ZNumber:
-        try:
-            row = self.sources.index(source)
-        except ValueError:
-            raise ValueError(f"unknown source {source!r}") from None
-        return self.cells[row][self.frame.index(hypothesis)]
-
     def transposed(self) -> "AssessmentMatrix":
         """Swap the roles of sources and hypotheses."""
         flipped = tuple(

@@ -134,7 +134,7 @@ def reference_decide(matrix, alpha):
     def score(f):
         # a point number has no area; its centroid is its one vertex
         x = f.a if f.a == f.d else quadrature_centroid(f)
-        return w0 * x + w1 * f.w + w2 / (1.0 + vertex_std(f.vertices))
+        return w0 * x + w1 * f.w + w2 / (1.0 + vertex_std((f.a, f.b, f.c, f.d)))
 
     hmax, hmin = score(IDEAL), score(ANTI_IDEAL)
 

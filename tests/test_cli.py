@@ -46,6 +46,11 @@ def grid(cell=None):
     }
 
 
+def sources_doc(sources):
+    """A grid file over hypotheses a and b whose "sources" entry is sources."""
+    return json.dumps({"frame": ["a", "b"], "sources": sources})
+
+
 def finite_json(text):
     def reject(constant):
         raise AssertionError(f"non-finite number {constant} in output")
@@ -133,9 +138,7 @@ class TestBpaMode:
         decide_doc = json.loads(decide_out)
         frame = Frame(tuple(bpa_doc["frame"]))
         rebuilt = [
-            MassFunction.from_items(
-                frame, {tuple(item["focal"]): item["mass"] for item in entry["masses"]}
-            )
+            MassFunction(frame, {frame.subset(item["focal"]): item["mass"] for item in entry["masses"]})
             for entry in bpa_doc["bpas"]
         ]
         fused = combine_all(rebuilt).combined
@@ -1194,8 +1197,18 @@ class TestInputPath:
             ("broken.json", "{not json", "broken.json: invalid JSON: "),
             ("doc.csv", "\n\n", "doc.csv: empty file\n"),
             ("bad.csv", b"source,a\n\xff\n", "bad.csv: not UTF-8 text: invalid start byte\n"),
+            ("x.json", sources_doc([]), 'x.json: "sources" must be a non-empty list\n'),
+            ("x.json", sources_doc({"S": {}}), 'x.json: "sources" must be a non-empty list\n'),
+            ("x.json", sources_doc(["S"]), 'x.json: sources[0] needs a "name"\n'),
+            ("x.json", sources_doc([{"name": 3, "assessments": {}}]), 'x.json: sources[0] needs a "name"\n'),
+            ("x.json", sources_doc([{"name": "S"}]), 'x.json: source \'S\' needs an "assessments" object\n'),
+            ("x.json", sources_doc([{"name": "S", "assessments": []}]),
+             'x.json: source \'S\' needs an "assessments" object\n'),
         ],
-        ids=["json", "csv", "csv-not-utf8"],
+        ids=[
+            "json", "csv", "csv-not-utf8", "sources-empty", "sources-not-a-list", "source-not-an-object",
+            "name-not-a-string", "no-assessments", "assessments-a-list",
+        ],
     )
     def test_errors_name_only_the_basename(self, tmp_path, capsys, name, text, message):
         path = tmp_path / "sub" / name
@@ -1203,7 +1216,7 @@ class TestInputPath:
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run(capsys, "decide", "--input", str(path))
         assert (code, out) == (EXIT_PARSE, "")
-        assert err.startswith(f"zfuse: {message}"), err
+        assert err.startswith(f"zfuse: {message}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("mode", ["decide", "rank-fuzzy"])
     @pytest.mark.parametrize("suffix", ["", "/"], ids=["empty", "trailing-slash"])

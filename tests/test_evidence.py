@@ -52,7 +52,7 @@ class TestFrame:
         assert ABC.subset(("A", "C")) == 0b101
         assert ABC.labels(0b101) == ("A", "C")
         assert ABC.theta == 0b111
-        assert ABC.singleton("B") == 0b010
+        assert ABC.subset(("B",)) == 0b010
 
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown hypothesis"):
@@ -96,13 +96,8 @@ class TestMassFunction:
         assert m == MassFunction(ABC, {0b001: 1.0})
         assert 0b010 not in m.masses
 
-    def test_from_items_merges_duplicate_subsets(self):
-        m = MassFunction.from_items(ABC, {("A", "B"): 0.3, ("B", "A"): 0.3, "C": 0.4})
-        assert m.mass(("A", "B")) == pytest.approx(0.6)
-        assert m.mass("C") == pytest.approx(0.4)
-
     def test_vacuous(self):
-        m = MassFunction.vacuous(ABC)
+        m = MassFunction(ABC, {ABC.theta: 1.0})
         assert m.is_vacuous()
         assert m.theta_mass() == 1.0
         assert m.singleton_masses() == {"A": 0.0, "B": 0.0, "C": 0.0}
@@ -128,9 +123,10 @@ class TestBpaFromSimilarities:
     def test_medical_first_expert(self):
         frame = Frame(("Common-cold", "Meningitis", "Measles"))
         m = bpa_from_similarities(frame, [0.9662, 0.2599, 0.1632])
-        assert m.mass("Common-cold") == pytest.approx(0.6789, abs=2e-3)
-        assert m.mass("Meningitis") == pytest.approx(0.1826, abs=2e-3)
-        assert m.mass("Measles") == pytest.approx(0.1147, abs=2e-3)
+        singles = m.singleton_masses()
+        assert singles["Common-cold"] == pytest.approx(0.6789, abs=2e-3)
+        assert singles["Meningitis"] == pytest.approx(0.1826, abs=2e-3)
+        assert singles["Measles"] == pytest.approx(0.1147, abs=2e-3)
         assert m.theta_mass() == pytest.approx(0.0238, abs=2e-3)
 
     def test_all_zero_scores_mean_total_ignorance(self):
@@ -139,7 +135,7 @@ class TestBpaFromSimilarities:
     def test_perfect_score_leaves_no_residual(self):
         m = bpa_from_similarities(ABC, [1.0, 0.0, 0.0])
         assert m.theta_mass() == 0.0
-        assert m.mass("A") == 1.0
+        assert m.singleton_masses()["A"] == 1.0
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="expected 3 scores"):
@@ -163,11 +159,11 @@ class TestBpaFromSimilarities:
 class TestDempsterCombine:
     def test_frames_must_match(self):
         with pytest.raises(ValueError, match="different frames"):
-            dempster_combine(MassFunction.vacuous(ABC), MassFunction.vacuous(Frame(("A", "B"))))
+            dempster_combine(MassFunction(ABC, {ABC.theta: 1.0}), MassFunction(Frame(("A", "B")), {0b11: 1.0}))
 
     def test_vacuous_is_the_identity(self):
-        m = MassFunction.from_items(ABC, {"A": 0.6, ("B", "C"): 0.3, ("A", "B", "C"): 0.1})
-        out = dempster_combine(m, MassFunction.vacuous(ABC))
+        m = MassFunction(ABC, {ABC.subset(("A",)): 0.6, ABC.subset(("B", "C")): 0.3, ABC.theta: 0.1})
+        out = dempster_combine(m, MassFunction(ABC, {ABC.theta: 1.0}))
         assert out.combined == m
         assert out.conflict == 0.0
 
@@ -205,15 +201,15 @@ class TestDempsterCombine:
     def test_nearly_certain_disagreement(self):
         # the classic two-expert standoff: the barely-supported middle
         # hypothesis takes everything
-        m1 = MassFunction.from_items(ABC, {"A": 0.99, "B": 0.01})
-        m2 = MassFunction.from_items(ABC, {"C": 0.99, "B": 0.01})
+        m1 = MassFunction(ABC, {ABC.subset(("A",)): 0.99, ABC.subset(("B",)): 0.01})
+        m2 = MassFunction(ABC, {ABC.subset(("C",)): 0.99, ABC.subset(("B",)): 0.01})
         out = dempster_combine(m1, m2)
         assert out.conflict == pytest.approx(0.9999, abs=1e-12)
-        assert out.combined.mass("B") == pytest.approx(1.0, abs=1e-9)
+        assert out.combined.singleton_masses()["B"] == pytest.approx(1.0, abs=1e-9)
 
     def test_total_conflict_raises(self):
-        m1 = MassFunction.from_items(ABC, {"A": 1.0})
-        m2 = MassFunction.from_items(ABC, {"B": 1.0})
+        m1 = MassFunction(ABC, {ABC.subset(("A",)): 1.0})
+        m2 = MassFunction(ABC, {ABC.subset(("B",)): 1.0})
         with pytest.raises(TotalConflictError, match="total conflict"):
             dempster_combine(m1, m2)
 
@@ -239,7 +235,7 @@ class TestCombineAll:
             combine_all([])
 
     def test_single_input_passes_through(self):
-        m = MassFunction.from_items(ABC, {"A": 0.4, ("A", "B"): 0.6})
+        m = MassFunction(ABC, {ABC.subset(("A",)): 0.4, ABC.subset(("A", "B")): 0.6})
         out = combine_all([m])
         assert out.combined == m
         assert out.conflict == 0.0
@@ -264,9 +260,9 @@ class TestCombineAll:
                 assert other.masses[mask] == pytest.approx(v, abs=1e-12)
 
     def test_total_conflict_names_the_pair(self):
-        m1 = MassFunction.from_items(ABC, {"A": 1.0})
-        m2 = MassFunction.from_items(ABC, {"A": 0.5, ("A", "B"): 0.5})
-        m3 = MassFunction.from_items(ABC, {"B": 1.0})
+        m1 = MassFunction(ABC, {ABC.subset(("A",)): 1.0})
+        m2 = MassFunction(ABC, {ABC.subset(("A",)): 0.5, ABC.subset(("A", "B")): 0.5})
+        m3 = MassFunction(ABC, {ABC.subset(("B",)): 1.0})
         with pytest.raises(TotalConflictError, match="input 2") as err:
             combine_all([m1, m2, m3])
         assert err.value.left == 1
@@ -327,8 +323,8 @@ class TestSingletonFastPath:
         assert out.conflict >= 0.0
 
     def test_mixed_structure_takes_the_general_path(self, monkeypatch):
-        m1 = MassFunction.from_items(ABC, {"A": 0.5, "B": 0.3, ("A", "B", "C"): 0.2})
-        m2 = MassFunction.from_items(ABC, {("A", "B"): 0.6, "C": 0.1, ("A", "B", "C"): 0.3})
+        m1 = MassFunction(ABC, {ABC.subset(("A",)): 0.5, ABC.subset(("B",)): 0.3, ABC.theta: 0.2})
+        m2 = MassFunction(ABC, {ABC.subset(("A", "B")): 0.6, ABC.subset(("C",)): 0.1, ABC.theta: 0.3})
         monkeypatch.setattr(evidence, "_combine_singletons", None)
         out = dempster_combine(m1, m2)
         expected, conflict = reference_combine(m1, m2)
@@ -726,12 +722,6 @@ class TestLazyMasses:
         assert n.focal_items() == m.focal_items()
 
 
-def dict_twins(m):
-    """m rebuilt from its masses, by the constructor and by from_items."""
-    items = {labels[0] if len(labels) == 1 else labels: v for labels, v in m.focal_items()}
-    return MassFunction(m.frame, dict(m.masses)), MassFunction.from_items(m.frame, items)
-
-
 class TestDictBuiltEvidence:
     """A singleton+frame mass function built from a dict has no vector: it
     answers from its dict and fuses on the general rule, to the masses of
@@ -745,17 +735,17 @@ class TestDictBuiltEvidence:
             rows.insert(1, [0.0] * size)  # a vacuous BPA inside the fold
             twins = [bpa_from_similarities(frame, row) for row in rows]
             expected = combine_all(twins)
-            for ms in zip(*map(dict_twins, twins)):
-                assert all(m._vector is None for m in ms)
-                got = combine_all(ms)
-                assert got.combined._vector is None
-                assert got.combined.masses == expected.combined.masses
-                assert got.steps == pytest.approx(expected.steps, abs=1e-15)
-                for m, twin in zip((*ms, got.combined), (*twins, expected.combined)):
-                    assert m.is_vacuous() == twin.is_vacuous()
-                    assert m.theta_mass() == twin.theta_mass()
-                    assert m.singleton_masses() == twin.singleton_masses()
-                    assert m.focal_items() == twin.focal_items()
+            ms = [MassFunction(m.frame, dict(m.masses)) for m in twins]
+            assert all(m._vector is None for m in ms)
+            got = combine_all(ms)
+            assert got.combined._vector is None
+            assert got.combined.masses == expected.combined.masses
+            assert got.steps == pytest.approx(expected.steps, abs=1e-15)
+            for m, twin in zip((*ms, got.combined), (*twins, expected.combined)):
+                assert m.is_vacuous() == twin.is_vacuous()
+                assert m.theta_mass() == twin.theta_mass()
+                assert m.singleton_masses() == twin.singleton_masses()
+                assert m.focal_items() == twin.focal_items()
 
     def test_decide_validates_no_dict(self, monkeypatch):
         rng = random.Random(200)

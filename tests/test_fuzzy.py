@@ -314,7 +314,7 @@ class TestSpread:
     def test_known_values(self):
         # sample standard deviation over the four vertices, divisor 3
         medium = TrapezoidalFuzzyNumber(0.32, 0.41, 0.58, 0.65)
-        assert spread(medium) == pytest.approx(vertex_std(medium.vertices), abs=1e-12)
+        assert spread(medium) == pytest.approx(vertex_std((medium.a, medium.b, medium.c, medium.d)), abs=1e-12)
         assert spread(medium) == pytest.approx(0.15165751, abs=1e-6)
         very_high = TrapezoidalFuzzyNumber(0.93, 0.98, 1.0, 1.0)
         assert spread(very_high) == pytest.approx(0.03304038, abs=1e-6)
@@ -339,7 +339,7 @@ class TestSpread:
 
     @given(trapezoids())
     def test_agrees_with_direct_formula(self, f):
-        assert spread(f) == pytest.approx(vertex_std(f.vertices), rel=1e-9, abs=1e-12)
+        assert spread(f) == pytest.approx(vertex_std((f.a, f.b, f.c, f.d)), rel=1e-9, abs=1e-12)
 
 
 def blended_score(f, weights):

@@ -71,6 +71,16 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="0, 1"):
             WeightVector((1.2, -0.2), 1.0)
 
+    # mem_weights checks n and alpha before it builds a vector, so only a
+    # vector built directly reaches these
+    def test_rejects_a_single_entry(self):
+        with pytest.raises(ValueError, match=r"^a weight vector needs at least two entries$"):
+            WeightVector((1.0,), 1.0)
+
+    def test_rejects_alpha_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
+            WeightVector((0.5, 0.5), 1.5)
+
 
 class TestMemWeights:
     def test_two_point_solution_is_exact(self):

@@ -70,7 +70,7 @@ class TestLexicon:
             "Absolutely-high": (1.0, 1.0, 1.0, 1.0),
         }
         for t in LEXICON:
-            assert t.shape.vertices == expected[t.name]
+            assert (t.shape.a, t.shape.b, t.shape.c, t.shape.d) == expected[t.name]
             assert t.shape.w == 1.0
 
     def test_lookup_is_forgiving(self):

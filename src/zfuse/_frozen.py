@@ -21,9 +21,11 @@ class Frozen:
 
     Only an instance of the very same class compares equal, so a tuple of
     the same values does not.  A field holding a dict makes hash raise
-    TypeError.  Instances keep a __dict__, so copy and pickle restore it as
-    it is, and cached_property works.
+    TypeError.  A subclass that declares __slots__ keeps no __dict__ (nor
+    weak references); any other keeps one, which cached_property needs.
     """
+
+    __slots__ = ()
 
     # the field names, in order; every subclass sets them
     __match_args__: tuple[str, ...]
@@ -46,6 +48,12 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __setstate__(self, state: dict | tuple) -> None:
+        # copy and pickle give a slotted class (None, slots), any other a dict
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                set_field(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -18,9 +18,9 @@ class TrapezoidalFuzzyNumber(Frozen):
     """Trapezoid vertices (a, b, c, d) plus plateau height w in (0, 1]."""
 
     __match_args__ = ("a", "b", "c", "d", "w")
-    # not a field: each lexicon shape holds its term index here (zmodel sets
-    # it once), every other shape reads this None
-    _term: int | None = None
+    # _term is not a field: each lexicon shape holds its term index there
+    # (zmodel sets it once), every other shape None
+    __slots__ = (*__match_args__, "_term")
 
     def __init__(self, a: float, b: float, c: float, d: float, w: float = 1.0) -> None:
         isfinite = math.isfinite
@@ -38,16 +38,11 @@ class TrapezoidalFuzzyNumber(Frozen):
         set_field(self, "c", c)
         set_field(self, "d", d)
         set_field(self, "w", w)
+        set_field(self, "_term", None)
 
-    def __setstate__(self, state: dict) -> None:
-        # pickle and copy restore a marked lexicon shape here: its _term goes
-        # in a dict of its own, as zmodel gives it, since adding the key to
-        # the instances' shared one would make every shape built afterwards
-        # bigger (120 -> 136 B on Python 3.11)
-        if "_term" in state:
-            set_field(self, "__dict__", dict(state))
-        else:
-            self.__dict__.update(state)
+    def __setstate__(self, state: dict | tuple) -> None:
+        set_field(self, "_term", None)  # pickles from before the slots hold it only if marked
+        super().__setstate__(state)
 
 
 def membership(f: TrapezoidalFuzzyNumber, x: float) -> float:

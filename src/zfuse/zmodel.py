@@ -20,7 +20,7 @@ from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
 class ZNumber(Frozen):
     """Evaluation A constrained by reliability B."""
 
-    __match_args__ = ("A", "B")
+    __match_args__ = __slots__ = ("A", "B")
 
     def __init__(self, A: TrapezoidalFuzzyNumber, B: TrapezoidalFuzzyNumber) -> None:
         if not (isinstance(A, TrapezoidalFuzzyNumber) and isinstance(B, TrapezoidalFuzzyNumber)):
@@ -53,12 +53,9 @@ LEXICON: tuple[LinguisticTerm, ...] = (
     LinguisticTerm("Absolutely-high", TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)),
 )
 
-# Mark each lexicon shape with its index, which source_bpas reads to find a
-# term pair.  The marked dict is a new one: adding the key to the instances'
-# shared one would make every shape built afterwards bigger (120 -> 136 B on
-# Python 3.11, 160 -> 287 B on 3.10).
+# Mark each lexicon shape with its index, which source_bpas reads to find a term pair.
 for _index, _entry in enumerate(LEXICON):
-    set_field(_entry.shape, "__dict__", {**vars(_entry.shape), "_term": _index})
+    set_field(_entry.shape, "_term", _index)
 del _index, _entry
 
 

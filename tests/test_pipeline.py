@@ -347,8 +347,8 @@ def counted_similarity(monkeypatch):
 
 
 def term_mark(shape):
-    """The lexicon index a shape holds in its own __dict__, or None."""
-    return vars(shape).get("_term")
+    """The lexicon index a shape holds in its _term slot, or None."""
+    return TrapezoidalFuzzyNumber._term.__get__(shape)
 
 
 def table_calls(matrix):
@@ -365,6 +365,14 @@ def table_calls(matrix):
             else:
                 other += 1
     return len(pairs) + other
+
+
+def traced_bytes(code, *args):
+    """What a fresh interpreter running code with args prints, as a float."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
 
 
 def unit_shape(rng):
@@ -461,8 +469,22 @@ class TestShapeMemo:
         copy.deepcopy(LEXICON)  # copying marked shapes marks no other shape
         shape = unit_shape(random.Random(12))
         for s in (shape, copy.copy(shape), pickle.loads(pickle.dumps(shape))):
-            assert list(vars(s)) == ["a", "b", "c", "d", "w"]
+            assert term_mark(s) is None
             assert s._term is None
+
+    def test_cells_hold_no_instance_dict(self):
+        shape, term = unit_shape(random.Random(13)), LEXICON[3].shape
+        cell = ZNumber(shape, term)
+        for x in (shape, term, cell):
+            assert not hasattr(x, "__dict__")
+            with pytest.raises(TypeError):
+                vars(x)
+        # compared, hashed and printed field by field, as with a dict
+        assert cell == ZNumber(copy.copy(shape), copy.deepcopy(term)) != ZNumber(term, shape)
+        assert hash(shape) == hash((shape.a, shape.b, shape.c, shape.d, shape.w))
+        assert hash(cell) == hash((shape, term))
+        assert repr(term) == "TrapezoidalFuzzyNumber(a=0.17, b=0.22, c=0.36, d=0.42, w=1.0)"
+        assert repr(cell) == f"ZNumber(A={shape!r}, B={term!r})"
 
     @pytest.mark.parametrize("clone", ["pickle.loads(pickle.dumps(shape))", "copy.copy(shape)", "copy.deepcopy(shape)"])
     def test_copying_a_term_shape_grows_no_later_shape(self, clone):
@@ -479,15 +501,23 @@ class TestShapeMemo:
             "keep = [TrapezoidalFuzzyNumber(0.1, 0.2, 0.3, 0.4) for _ in range(10000)]\n"
             "print((tracemalloc.get_traced_memory()[0] - before) / len(keep))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
-
-        def per_shape(arg):
-            done = subprocess.run([sys.executable, "-c", code, arg], capture_output=True, text=True, env=env, timeout=60)
-            assert done.returncode == 0, done.stderr
-            return float(done.stdout)
-
-        control, cloned = per_shape("control"), per_shape("clone")
+        control, cloned = traced_bytes(code, "control"), traced_bytes(code, "clone")
         assert abs(cloned - control) < 4, (control, cloned)
+
+    def test_a_numeric_cell_takes_at_most_224_bytes(self):
+        # one ZNumber and two shapes of their own, the floats aside: 208 B on
+        # CPython 3.10-3.13, against 313 B when each of the three kept a dict
+        code = (
+            "import tracemalloc\n"
+            "from zfuse import TrapezoidalFuzzyNumber as F, ZNumber\n"
+            "keep = [None] * 10000\n"
+            "tracemalloc.start()\n"
+            "before = tracemalloc.get_traced_memory()[0]\n"
+            "for i in range(len(keep)):\n"
+            "    keep[i] = ZNumber(F(0.1, 0.2, 0.3, 0.4, 0.9), F(0.5, 0.6, 0.7, 0.8))\n"
+            "print((tracemalloc.get_traced_memory()[0] - before) / len(keep))\n"
+        )
+        assert traced_bytes(code) <= 224
 
     def test_clamped_far_off_shapes(self, monkeypatch):
         far = TrapezoidalFuzzyNumber(-1e200, -1e200, 1e200, 1e200)
@@ -587,14 +617,28 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-SEEDED_ROWS = [(make, seed) for make in (numeric_rows, lexicon_rows) for seed in (1, 2, 3)]
+def many_sources_rows(rng):
+    """A numeric grid of the many_sources benchmark's size."""
+    return numeric_rows(rng, 200, 20)
 
 
-@pytest.mark.parametrize("make, seed", SEEDED_ROWS, ids=lambda v: getattr(v, "__name__", v))
+def wide_frame_rows(rng):
+    """A lexicon-only grid of the wide_frame benchmark's size."""
+    return lexicon_rows(rng, 3, 1500)
+
+
+def seeded(*makers):
+    return pytest.mark.parametrize(
+        "make, seed", [(make, seed) for make in makers for seed in (1, 2, 3)], ids=lambda v: getattr(v, "__name__", v)
+    )
+
+
 class TestMetamorphic:
     """Exact properties of decide on seeded numeric 40 x 12 and lexicon-only
-    3 x 300 grids, which every fast path must keep together."""
+    3 x 300 grids, and on grids of the benchmark's sizes, which every fast
+    path must keep together."""
 
+    @seeded(numeric_rows, lexicon_rows, many_sources_rows, wide_frame_rows)
     def test_permuting_hypotheses_permutes_the_result_bit_for_bit(self, make, seed):
         rng = random.Random(seed)
         rows = make(rng)
@@ -608,6 +652,7 @@ class TestMetamorphic:
         assert bits([other.fused.theta_mass()]) == bits([base.fused.theta_mass()])
         assert bits(other.conflict_trace) == bits(base.conflict_trace)
 
+    @seeded(numeric_rows, lexicon_rows, many_sources_rows, wide_frame_rows)
     def test_appending_an_absolutely_low_source_changes_nothing(self, make, seed):
         rows = make(random.Random(seed))
         nothing = linguistic_term("Absolutely-low").shape
@@ -618,6 +663,7 @@ class TestMetamorphic:
         assert padded.ranking == base.ranking
         assert bits(padded.conflict_trace) == bits(base.conflict_trace + (0.0,))
 
+    @seeded(numeric_rows, lexicon_rows)
     def test_permuting_sources_keeps_masses_and_decision(self, make, seed):
         rng = random.Random(seed)
         rows = make(rng)

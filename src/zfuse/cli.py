@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
-from .owa import DEFAULT_ALPHA, dispersion, mem_weights, orness
+from .owa import _MAX_N, DEFAULT_ALPHA, dispersion, mem_weights, orness
 from .pipeline import AssessmentMatrix, decide, source_bpas
 from .zmodel import LEXICON, ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
 
@@ -55,7 +55,7 @@ def build_parser():
         p.add_argument("--format", dest="fmt", choices=_FORMATS, default="table")
         p.add_argument("--precision", type=int, default=4, help="decimal places in table output, 1..12")
         if mode == "weights":
-            p.add_argument("--n", type=int, required=True, help="number of weights")
+            p.add_argument("--n", type=int, required=True, help=f"number of weights, 2..{_MAX_N}")
     return parser
 
 

@@ -80,15 +80,24 @@ def ranking_score(f: TrapezoidalFuzzyNumber, weights: Sequence[float] | None = N
 
     The three factors are taken in that fixed order of importance, not
     sorted by value, so the blend stays monotone in each factor.  It equals
-    w0 * centroid(f) + w1 * f.w + w2 / (1.0 + spread(f)) bit for bit; both
-    factors are written out here, term for term as in fuzzy, so scoring a
-    shape takes one Python frame instead of three.
+    w0 * centroid(f) + w1 * f.w + w2 / (1.0 + spread(f)) bit for bit.
     """
     if weights is None:
         weights = mem_weights(3, DEFAULT_ALPHA)
     if len(weights) != 3:
         raise ValueError(f"ranking needs a length-3 weight vector, got {len(weights)}")
     w0, w1, w2 = weights
+    return _h(f, w0, w1, w2)
+
+
+# read as one global per shape, not a global and an attribute
+_hypot = math.hypot
+
+
+def _h(f: TrapezoidalFuzzyNumber, w0: float, w1: float, w2: float) -> float:
+    # H itself, for ranking_score and _scored, which check and unpack the
+    # weights; both factors are written out here, term for term as in fuzzy,
+    # so scoring a shape takes one Python frame instead of three
     a, b, c, d = f.a, f.b, f.c, f.d
     # centroid(f)
     ha, hb, hc, hd = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d
@@ -111,7 +120,7 @@ def ranking_score(f: TrapezoidalFuzzyNumber, weights: Sequence[float] | None = N
         elif x > d:
             x = d
     # spread(f)
-    s = math.hypot(b - a, c - a, d - a, c - b, d - b, d - c) * _INV_SQRT12
+    s = _hypot(b - a, c - a, d - a, c - b, d - b, d - c) * _INV_SQRT12
     return w0 * x + w1 * f.w + w2 / (1.0 + s)
 
 
@@ -141,6 +150,11 @@ class ReferenceBounds(Frozen):
     hmax and hmin are the H scores of the ideal's and anti-ideal's
     components under score_weights; deviations are normalized against them.
     component_weights blends the deviations of A and B.
+
+    The constants scoring reads for every cell are unpacked here, once, into
+    the private _scoring: the three score weights, the two component
+    weights, hmax, and the deviation's normaliser.  It is None for a score
+    vector that is not of length 3, which scoring then rejects.
     """
 
     __match_args__ = ("hmax", "hmin", "score_weights", "component_weights")
@@ -154,6 +168,19 @@ class ReferenceBounds(Frozen):
         set_field(self, "hmin", hmin)
         set_field(self, "score_weights", score_weights)
         set_field(self, "component_weights", component_weights)
+        scoring = None
+        if len(score_weights) == 3:
+            w1, w2 = component_weights
+            # products, not ** 2: see _scored
+            d_ref = hmin - hmax
+            scoring = (*score_weights, w1, w2, hmax, w1 * d_ref * d_ref + w2 * d_ref * d_ref)
+        set_field(self, "_scoring", scoring)
+
+    def __setstate__(self, state: dict) -> None:
+        # copy and pickle restore the fields and derive _scoring again, so a
+        # pickle made before _scoring existed, which holds the fields alone,
+        # scores too
+        ReferenceBounds.__init__(self, *map(state.__getitem__, ReferenceBounds.__match_args__))
 
     @classmethod
     def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
@@ -191,23 +218,22 @@ def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, flo
     """hA, hB, the deviation cut back to 1, and whether it was cut.
 
     The one scoring kernel behind score_znumber and similarity.  Both
-    component scores come from ranking_score, given the raw weight tuple,
-    whose length check and unpacking run in C.
+    component scores come from _h, A then B, fed the constants refs
+    unpacked once.
     """
     if refs is None:
         refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
-    w1, w2 = refs.component_weights.weights
-    sw = refs.score_weights.weights
-    h_a = ranking_score(z.A, sw)
-    h_b = ranking_score(z.B, sw)
+    scoring = refs._scoring
+    if scoring is None:
+        raise ValueError(f"ranking needs a length-3 weight vector, got {len(refs.score_weights)}")
+    s0, s1, s2, w1, w2, hmax, den = scoring
+    h_a = _h(z.A, s0, s1, s2)
+    h_b = _h(z.B, s0, s1, s2)
     # products, not ** 2: a far-off shape overflows to inf instead of raising,
     # and a zero weight times that gap stays 0
-    hmax = refs.hmax
     d_a = h_a - hmax
     d_b = h_b - hmax
-    d_ref = refs.hmin - hmax
     num = w1 * d_a * d_a + w2 * d_b * d_b
-    den = w1 * d_ref * d_ref + w2 * d_ref * d_ref
     dev = math.sqrt(num / den)
     if dev > 1.0:
         return h_a, h_b, 1.0, True

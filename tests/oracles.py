@@ -5,14 +5,15 @@ Each oracle computes a layer's result another way than the library does:
 plain_weights by the bisection that builds the weights at every step,
 quadrature_centroid by exact quadrature of the membership function,
 vertex_std by the textbook standard deviation, and reference_combine by
-Dempster's rule over frozensets.
+Dempster's rule over frozensets.  reference_score scores a Z-number as
+zmodel did before its kernel took constants unpacked once per alpha.
 """
 
 import math
 from fractions import Fraction
 
 from zfuse import owa
-from zfuse.fuzzy import TrapezoidalFuzzyNumber, membership
+from zfuse.fuzzy import TrapezoidalFuzzyNumber, centroid, membership, spread
 from zfuse.owa import _complement, orness
 
 
@@ -110,6 +111,22 @@ def reference_weights(n, alpha):
     if alpha < 0.5:
         return tuple(reversed(reference_weights(n, 1.0 - alpha)))
     return plain_weights(n, alpha)
+
+
+def reference_score(z, component_weights, refs):
+    """Scoring with H spelled out here, not taken from ranking_score, and
+    the deviation's normaliser computed for each Z-number.
+
+    Returns (hA, hB, deviation, clamped).
+    """
+    w1, w2 = component_weights
+    s0, s1, s2 = refs.score_weights
+    h_a, h_b = (s0 * centroid(f) + s1 * f.w + s2 / (1.0 + spread(f)) for f in (z.A, z.B))
+    d_a = h_a - refs.hmax
+    d_b = h_b - refs.hmax
+    d_ref = refs.hmin - refs.hmax
+    dev = math.sqrt((w1 * d_a * d_a + w2 * d_b * d_b) / (w1 * d_ref * d_ref + w2 * d_ref * d_ref))
+    return (h_a, h_b, 1.0, True) if dev > 1.0 else (h_a, h_b, dev, False)
 
 
 IDEAL = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)

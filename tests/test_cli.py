@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfuse import cli
+from zfuse import cli, owa
 from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
 from zfuse.cli import _file_alpha, _label, _not_utf8
 from zfuse.evidence import Frame, MassFunction, combine_all
@@ -1336,6 +1336,18 @@ class TestFailureModes:
         code, _, err = run(capsys, "weights", "--n", "1")
         assert code == EXIT_INVALID
         assert "at least two" in err
+
+    @pytest.mark.parametrize("alpha", ["1", "0.7", "0.5", "0"])
+    @pytest.mark.parametrize("n", ["100001", "100000000000000000000"])
+    def test_weights_rejects_n_past_the_ceiling(self, capsys, monkeypatch, n, alpha):
+        # rejected by an argument check: a solver step would fail the test
+        monkeypatch.setattr(owa, "_root", None)
+        monkeypatch.setattr(owa, "_geometric", None)
+        assert run(capsys, "weights", "--n", n, "--alpha", alpha) == (
+            EXIT_INVALID,
+            "",
+            f"zfuse: a weight vector has at most 100000 entries, got n = {n}\n",
+        )
 
     def test_total_conflict_exit_code(self, tmp_path, capsys):
         sure = [1.0, 1.0, 1.0, 1.0, 1.0]

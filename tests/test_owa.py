@@ -94,6 +94,16 @@ class TestMemWeights:
         assert v[2] == pytest.approx(0.153972, abs=1e-6)
         assert v[1] + v[2] == pytest.approx(0.446028, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("n", [owa._MAX_N + 1, 10**20])
+    def test_rejects_n_past_the_ceiling(self, monkeypatch, n, alpha):
+        # checked before anything is built: a solver step fails the test
+        # instead of running for hours at 10**20
+        monkeypatch.setattr(owa, "_root", None)
+        monkeypatch.setattr(owa, "_geometric", None)
+        with pytest.raises(ValueError, match=rf"^a weight vector has at most 100000 entries, got n = {n}$"):
+            mem_weights(n, alpha)
+
     def test_neutral_alpha_is_uniform(self):
         for n in (2, 3, 5, 9):
             v = mem_weights(n, 0.5)

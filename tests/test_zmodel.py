@@ -1,6 +1,9 @@
 """Z-numbers: lexicon, ranking scores, deviation, and similarity."""
 
+import base64
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +25,9 @@ from zfuse.zmodel import (
     score_znumber,
     similarity,
 )
+
+from oracles import reference_score
+from test_fuzzy import edge_trapezoids, ulp_trapezoids
 
 
 def term(name):
@@ -268,21 +274,6 @@ class TestRankZnumbers:
         assert [i for i, _ in ranked] == [1, 0]
 
 
-def reference_score(z, component_weights, refs):
-    """Scoring with H spelled out here, not taken from ranking_score.
-
-    Returns (hA, hB, deviation, clamped).
-    """
-    w1, w2 = component_weights
-    s0, s1, s2 = refs.score_weights
-    h_a, h_b = (s0 * centroid(f) + s1 * f.w + s2 / (1.0 + spread(f)) for f in (z.A, z.B))
-    d_a = h_a - refs.hmax
-    d_b = h_b - refs.hmax
-    d_ref = refs.hmin - refs.hmax
-    dev = math.sqrt((w1 * d_a * d_a + w2 * d_b * d_b) / (w1 * d_ref * d_ref + w2 * d_ref * d_ref))
-    return (h_a, h_b, 1.0, True) if dev > 1.0 else (h_a, h_b, dev, False)
-
-
 def scoring_cases(rng):
     """Lexicon x lexicon pairs, then seeded numeric shapes, some far off."""
     for a in LEXICON:
@@ -295,6 +286,29 @@ def scoring_cases(rng):
             vertices = sorted(rng.uniform(-scale, scale) for _ in range(4))
             shapes.append(TrapezoidalFuzzyNumber(*vertices, rng.uniform(0.01, 1.0)))
         yield ZNumber(*shapes)
+
+
+def scored_reprs(refs):
+    """repr of every scoring case's ZScore under refs: equal lists mean equal bits."""
+    return [repr(score_znumber(z, refs)) for z in scoring_cases(random.Random(7))]
+
+
+# base64 of pickle.dumps(ReferenceBounds.from_alpha(0.7), protocol) before
+# ReferenceBounds kept its scoring constants: the four fields alone
+OLD_REFS_PICKLES = {
+    2: (
+        "gAJjemZ1c2Uuem1vZGVsClJlZmVyZW5jZUJvdW5kcwpxACmBcQF9cQIoWAQAAABobWF4cQNHP/AAAAAAAABYBAAAAGhtaW5x"
+        "BEc/3Iu31sBdS1gNAAAAc2NvcmVfd2VpZ2h0c3EFY3pmdXNlLm93YQpXZWlnaHRWZWN0b3IKcQYpgXEHfXEIKFgHAAAAd2Vp"
+        "Z2h0c3EJRz/huiQUn9FbRz/SsQlHGlLDRz/DtV0fTBUQh3EKWAUAAABhbHBoYXELRz/mZmZmZmZmdWJYEQAAAGNvbXBvbmVu"
+        "dF93ZWlnaHRzcQxoBimBcQ19cQ4oaAlHP+ZmZmZmZmZHP9MzMzMzMzOGcQ9oC0c/5mZmZmZmZnVidWIu"
+    ),
+    5: (
+        "gAWV+AAAAAAAAACMDHpmdXNlLnptb2RlbJSMD1JlZmVyZW5jZUJvdW5kc5STlCmBlH2UKIwEaG1heJRHP/AAAAAAAACMBGht"
+        "aW6URz/ci7fWwF1LjA1zY29yZV93ZWlnaHRzlIwJemZ1c2Uub3dhlIwMV2VpZ2h0VmVjdG9ylJOUKYGUfZQojAd3ZWlnaHRz"
+        "lEc/4bokFJ/RW0c/0rEJRxpSw0c/w7VdH0wVEIeUjAVhbHBoYZRHP+ZmZmZmZmZ1YowRY29tcG9uZW50X3dlaWdodHOUaAop"
+        "gZR9lChoDUc/5mZmZmZmZkc/0zMzMzMzM4aUaA9HP+ZmZmZmZmZ1YnViLg=="
+    ),
+}
 
 
 class TestScoringKernel:
@@ -311,20 +325,79 @@ class TestScoringKernel:
             clamped += score.clamped
         assert clamped > 0
 
-    @pytest.mark.parametrize("score", [similarity, score_znumber])
-    def test_each_component_is_scored_by_ranking_score(self, monkeypatch, score):
+    @given(
+        st.floats(1e-8, 1.0),
+        st.one_of(edge_trapezoids(), ulp_trapezoids()),
+        st.one_of(edge_trapezoids(), ulp_trapezoids()),
+    )
+    @settings(max_examples=300)
+    def test_edge_shapes_at_any_alpha_score_as_the_old_scoring(self, alpha, a, b):
+        # down to 1e-8, near the ~5e-9 where from_alpha raises, hmax and hmin
+        # differ in their last bits, so a normaliser rounded another way shows
+        refs = ReferenceBounds.from_alpha(alpha)
+        z = ZNumber(a, b)
+        score = score_znumber(z, refs)
+        h_a, h_b, dev, clamped = reference_score(z, mem_weights(2, alpha), refs)
+        got = (score.hA.hex(), score.hB.hex(), score.deviation.hex(), score.clamped)
+        assert got == (h_a.hex(), h_b.hex(), dev.hex(), clamped)
+        assert similarity(z, refs).hex() == score.similarity.hex() == (1.0 - dev).hex()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_score_vector_not_of_length_3_constructs_and_fails_at_scoring(self, n):
+        refs = ReferenceBounds(hmax=1.0, hmin=0.0, score_weights=mem_weights(n, 0.7), component_weights=mem_weights(2, 0.7))
+        z = ZNumber(term("High"), term("Low"))
+        for score in (similarity, score_znumber, lambda z, refs: rank_znumbers([z], refs)):
+            with pytest.raises(ValueError, match=rf"^ranking needs a length-3 weight vector, got {n}$"):
+                score(z, refs)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1e-8])
+    def test_copies_and_pickles_score_bit_identically(self, alpha):
+        refs = ReferenceBounds.from_alpha(alpha)
+        pickles = [pickle.loads(pickle.dumps(refs, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        expected = scored_reprs(refs)
+        for twin in (copy.copy(refs), copy.deepcopy(refs), *pickles):
+            assert twin == refs
+            assert scored_reprs(twin) == expected
+
+    @pytest.mark.parametrize("protocol", OLD_REFS_PICKLES)
+    def test_a_pickle_of_the_fields_alone_still_scores(self, protocol):
         refs = ReferenceBounds.from_alpha(0.7)
+        loaded = pickle.loads(base64.b64decode("".join(OLD_REFS_PICKLES[protocol])))
+        assert loaded == refs and repr(loaded) == repr(refs)
+        assert scored_reprs(loaded) == scored_reprs(refs)
+
+    @staticmethod
+    def counting_kernel(monkeypatch):
+        """Route zmodel._h through a wrapper; returns the (shape, weights) it was given."""
+        kernel = zmodel._h
         calls = []
 
-        def counting(f, score_weights=None):
-            calls.append(f)
-            return ranking_score(f, score_weights)
+        def counting(f, w0, w1, w2):
+            calls.append((f, (w0, w1, w2)))
+            return kernel(f, w0, w1, w2)
 
-        monkeypatch.setattr(zmodel, "ranking_score", counting)
+        monkeypatch.setattr(zmodel, "_h", counting)
+        return calls
+
+    @pytest.mark.parametrize("score", [similarity, score_znumber])
+    def test_each_component_is_scored_by_the_kernel(self, monkeypatch, score):
+        refs = ReferenceBounds.from_alpha(0.7)
+        weights = refs.score_weights.weights
+        calls = self.counting_kernel(monkeypatch)
         for z in scoring_cases(random.Random(3)):
             calls.clear()
             score(z, refs)
-            assert calls == [z.A, z.B]
+            assert calls == [(z.A, weights), (z.B, weights)]
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_ranking_score_returns_the_kernels_value(self, monkeypatch, alpha):
+        kernel = zmodel._h
+        weights = mem_weights(3, alpha)
+        calls = self.counting_kernel(monkeypatch)
+        for z in scoring_cases(random.Random(4)):
+            calls.clear()
+            assert ranking_score(z.A, weights).hex() == kernel(z.A, *weights).hex()
+            assert calls == [(z.A, weights.weights)]
 
     def test_similarity_checks_its_weights(self):
         z = ZNumber(term("High"), term("High"))

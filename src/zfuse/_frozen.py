@@ -1,8 +1,10 @@
 """The base of zfuse's immutable value types.
 
-Each public type is a plain class that lists its fields in __match_args__
-and writes its own __init__, which checks them and stores them with
-set_field.  Frozen reads that tuple to compare, hash and print instances
+Each public type is a plain class that lists its fields, its constructor's
+arguments, in __match_args__ and writes its own __init__, which checks them
+and stores them with set_field.  A type may keep attributes derived from
+them too, as ReferenceBounds, MassFunction and Frame do; those are not
+fields.  Frozen reads that tuple to compare, hash and print instances
 field by field, in the layout a frozen dataclass has, without importing
 dataclasses (which costs more than the rest of zfuse to import).
 """

@@ -220,7 +220,12 @@ def mem_weights(n: int, alpha: float = DEFAULT_ALPHA) -> WeightVector:
     if n < 2:
         raise ValueError("a weight vector needs at least two entries")
     if n > _MAX_N:
-        raise ValueError(f"a weight vector has at most {_MAX_N} entries, got n = {n}")
+        try:
+            got = f"n = {n}"
+        except ValueError:
+            # more digits than str() writes out
+            got = f"an n of {n.bit_length()} bits"
+        raise ValueError(f"a weight vector has at most {_MAX_N} entries, got {got}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 

@@ -145,45 +145,18 @@ _WORST = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0)
 
 
 class ReferenceBounds(Frozen):
-    """Everything scoring needs for one alpha.
+    """Everything scoring needs for one alpha, its one field.
 
-    hmax and hmin are the H scores of the ideal's and anti-ideal's
-    components under score_weights; deviations are normalized against them.
-    component_weights blends the deviations of A and B.
-
-    The constants scoring reads for every cell are unpacked here, once, into
-    the private _scoring: the three score weights, the two component
-    weights, hmax, and the deviation's normaliser.  It is None for a score
-    vector that is not of length 3, which scoring then rejects.
+    Derived from alpha: score_weights and component_weights (its length-3
+    and length-2 OWA weights), hmax and hmin (the H scores of the ideal's
+    and anti-ideal's components, which deviations are normalized against),
+    and the private _scoring: the three score weights, the two component
+    weights, hmax and the deviation's normaliser, unpacked once for _scored.
     """
 
-    __match_args__ = ("hmax", "hmin", "score_weights", "component_weights")
+    __match_args__ = ("alpha",)
 
-    def __init__(
-        self, hmax: float, hmin: float, score_weights: WeightVector, component_weights: WeightVector
-    ) -> None:
-        if len(component_weights) != 2:
-            raise ValueError(f"component blending needs a length-2 weight vector, got {len(component_weights)}")
-        set_field(self, "hmax", hmax)
-        set_field(self, "hmin", hmin)
-        set_field(self, "score_weights", score_weights)
-        set_field(self, "component_weights", component_weights)
-        scoring = None
-        if len(score_weights) == 3:
-            w1, w2 = component_weights
-            # products, not ** 2: see _scored
-            d_ref = hmin - hmax
-            scoring = (*score_weights, w1, w2, hmax, w1 * d_ref * d_ref + w2 * d_ref * d_ref)
-        set_field(self, "_scoring", scoring)
-
-    def __setstate__(self, state: dict) -> None:
-        # copy and pickle restore the fields and derive _scoring again, so a
-        # pickle made before _scoring existed, which holds the fields alone,
-        # scores too
-        ReferenceBounds.__init__(self, *map(state.__getitem__, ReferenceBounds.__match_args__))
-
-    @classmethod
-    def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
+    def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
         score_weights = mem_weights(3, alpha)
         # the ideal and anti-ideal differ only in the centroid factor, so they
         # score alike when its weight is 0: alpha 0 and alpha up to about 5e-9
@@ -194,7 +167,24 @@ class ReferenceBounds(Frozen):
                 f"score weights for alpha {score_weights.alpha} put no weight on the centroid, "
                 "so the ideal and anti-ideal score alike and deviation is undefined"
             )
-        return cls(hmax=hmax, hmin=hmin, score_weights=score_weights, component_weights=mem_weights(2, alpha))
+        w1, w2 = component_weights = mem_weights(2, alpha)
+        # products, not ** 2: see _scored
+        d_ref = hmin - hmax
+        set_field(self, "alpha", alpha)
+        set_field(self, "hmax", hmax)
+        set_field(self, "hmin", hmin)
+        set_field(self, "score_weights", score_weights)
+        set_field(self, "component_weights", component_weights)
+        set_field(self, "_scoring", (*score_weights, w1, w2, hmax, w1 * d_ref * d_ref + w2 * d_ref * d_ref))
+
+    def __setstate__(self, state: dict) -> None:
+        # copy and pickle derive everything again from the score weights'
+        # alpha, which pickles written before alpha was the field hold too
+        ReferenceBounds.__init__(self, state["score_weights"].alpha)
+
+    @classmethod
+    def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":
+        return cls(alpha)
 
 
 class ZScore(Frozen):
@@ -223,10 +213,7 @@ def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, flo
     """
     if refs is None:
         refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
-    scoring = refs._scoring
-    if scoring is None:
-        raise ValueError(f"ranking needs a length-3 weight vector, got {len(refs.score_weights)}")
-    s0, s1, s2, w1, w2, hmax, den = scoring
+    s0, s1, s2, w1, w2, hmax, den = refs._scoring
     h_a = _h(z.A, s0, s1, s2)
     h_b = _h(z.B, s0, s1, s2)
     # products, not ** 2: a far-off shape overflows to inf instead of raising,

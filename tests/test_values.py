@@ -64,12 +64,7 @@ CASES = {
         ("Low", F(0.04, 0.1, 0.18, 0.23)),
         "LinguisticTerm(name='Low', shape=TrapezoidalFuzzyNumber(a=0.04, b=0.1, c=0.18, d=0.23, w=1.0))",
     ),
-    "ReferenceBounds": (
-        lambda: ReferenceBounds(1.0, 0.25, weights(), WeightVector((0.5, 0.5), 0.5)),
-        (1.0, 0.25, weights(), WeightVector((0.5, 0.5), 0.5)),
-        f"ReferenceBounds(hmax=1.0, hmin=0.25, score_weights={WEIGHTS}, "
-        "component_weights=WeightVector(weights=(0.5, 0.5), alpha=0.5))",
-    ),
+    "ReferenceBounds": (lambda: ReferenceBounds(0.75), (0.75,), "ReferenceBounds(alpha=0.75)"),
     "ZScore": (
         lambda: ZScore(0.5, 0.25, 0.125, 0.875),
         (0.5, 0.25, 0.125, 0.875, False),
@@ -115,7 +110,7 @@ DIFFERENT = {
     "WeightVector": lambda: WeightVector((0.75, 0.25), 0.75000000001),
     "ZNumber": lambda: ZNumber(F(0.1, 0.2, 0.3, 0.4, 0.9), F(0.5, 1.0, 1.0, 1.0)),
     "LinguisticTerm": lambda: LinguisticTerm("low", F(0.04, 0.1, 0.18, 0.23)),
-    "ReferenceBounds": lambda: ReferenceBounds(1.0, 0.5, weights(), WeightVector((0.5, 0.5), 0.5)),
+    "ReferenceBounds": lambda: ReferenceBounds(0.5),
     "ZScore": lambda: ZScore(0.5, 0.25, 0.125, 0.875, True),
     "Frame": lambda: Frame(("b", "a")),
     "MassFunction": lambda: MassFunction(frame(), {1: 0.25, 3: 0.75}),
@@ -204,6 +199,24 @@ def test_copy_and_pickle_round_trips(name):
         assert repr(twin) == expected
         with pytest.raises(AttributeError):
             setattr(twin, type(x).__match_args__[0], None)
+
+
+# the types that hold a shape, whose __slots__ copyreg will not pickle
+# below protocol 2
+NO_LOW_PROTOCOLS = {"TrapezoidalFuzzyNumber", "ZNumber", "LinguisticTerm", "AssessmentMatrix"}
+
+
+@each_type
+@pytest.mark.parametrize("protocol", [0, 1])
+def test_pickle_protocols_0_and_1(name, protocol):
+    make, _, expected = CASES[name]
+    x = make()
+    if name in NO_LOW_PROTOCOLS:
+        with pytest.raises(TypeError, match="defines __slots__ without defining __getstate__"):
+            pickle.dumps(x, protocol)
+    else:
+        twin = pickle.loads(pickle.dumps(x, protocol))
+        assert twin == x and repr(twin) == expected
 
 
 def medical_matrix():

@@ -186,6 +186,34 @@ class TestReferenceBounds:
             ReferenceBounds.from_alpha(alpha)
 
 
+    @given(st.one_of(st.floats(0.0, 1e-7), st.floats(0.0, 1.0)))
+    @settings(max_examples=300)
+    def test_is_a_function_of_alpha(self, alpha):
+        # weighted toward [0, 1e-7]: from_alpha starts to raise near 5e-9
+        try:
+            refs = ReferenceBounds(alpha)
+        except ValueError as error:
+            assert "put no weight on the centroid" in str(error)
+            with pytest.raises(ValueError, match="put no weight on the centroid"):
+                ReferenceBounds.from_alpha(alpha)
+            return
+        assert refs == ReferenceBounds.from_alpha(alpha)
+        assert tuple(getattr(refs, field) for field in ReferenceBounds.__match_args__) == (alpha,)
+        weights = mem_weights(2, alpha)
+        for a in LEXICON:
+            for b in LEXICON:
+                z = ZNumber(a.shape, b.shape)
+                score = score_znumber(z, refs)
+                assert 0.0 <= score.deviation <= 1.0
+                h_a, h_b, dev, _ = reference_score(z, weights, refs)
+                assert (score.hA.hex(), score.hB.hex(), score.deviation.hex()) == (h_a.hex(), h_b.hex(), dev.hex())
+
+    def test_the_four_value_constructor_is_gone(self):
+        refs = ReferenceBounds.from_alpha(0.7)
+        with pytest.raises(TypeError):
+            ReferenceBounds(refs.hmax, refs.hmin, refs.score_weights, refs.component_weights)
+
+
 class TestDeviationAndSimilarity:
     def test_ideal_percolates_to_zero_deviation(self):
         assert score_znumber(IDEAL).deviation == 0.0
@@ -230,13 +258,6 @@ class TestDeviationAndSimilarity:
         assert score.clamped
         assert score.deviation == 1.0
         assert score.similarity == 0.0
-
-    def test_needs_two_component_weights(self):
-        refs = ReferenceBounds.from_alpha(0.7)
-        with pytest.raises(ValueError, match="length-2"):
-            ReferenceBounds(
-                hmax=refs.hmax, hmin=refs.hmin, score_weights=refs.score_weights, component_weights=mem_weights(3, 0.7)
-            )
 
     @given(st.sampled_from(LEXICON), st.sampled_from(LEXICON), st.sampled_from(LEXICON))
     @settings(max_examples=200)
@@ -342,14 +363,6 @@ class TestScoringKernel:
         assert got == (h_a.hex(), h_b.hex(), dev.hex(), clamped)
         assert similarity(z, refs).hex() == score.similarity.hex() == (1.0 - dev).hex()
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_a_score_vector_not_of_length_3_constructs_and_fails_at_scoring(self, n):
-        refs = ReferenceBounds(hmax=1.0, hmin=0.0, score_weights=mem_weights(n, 0.7), component_weights=mem_weights(2, 0.7))
-        z = ZNumber(term("High"), term("Low"))
-        for score in (similarity, score_znumber, lambda z, refs: rank_znumbers([z], refs)):
-            with pytest.raises(ValueError, match=rf"^ranking needs a length-3 weight vector, got {n}$"):
-                score(z, refs)
-
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1e-8])
     def test_copies_and_pickles_score_bit_identically(self, alpha):
         refs = ReferenceBounds.from_alpha(alpha)
@@ -398,17 +411,6 @@ class TestScoringKernel:
             calls.clear()
             assert ranking_score(z.A, weights).hex() == kernel(z.A, *weights).hex()
             assert calls == [(z.A, weights.weights)]
-
-    def test_similarity_checks_its_weights(self):
-        z = ZNumber(term("High"), term("High"))
-        bad_refs = ReferenceBounds(
-            hmax=1.0,
-            hmin=0.0,
-            score_weights=mem_weights(2, 0.7),
-            component_weights=mem_weights(2, 0.7),
-        )
-        with pytest.raises(ValueError, match="length-3"):
-            similarity(z, bad_refs)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_refs_alone_fix_both_weight_vectors(self, alpha):

@@ -7,6 +7,12 @@ whole frame (every BPA from similarities, and every Dempster step on them)
 carry their masses as a frame-order vector, and Dempster's rule runs on
 those vectors.  A mass function built from a dict has no vector and fuses
 on the general rule.
+
+Masses are checked once, where they come in: a dict by the constructor,
+a vector by _from_vector, similarities by bpa_from_similarities' range
+check.  Dempster's rule on two valid mass functions gives a valid one, so
+what the library computes from checked operands is built by _unchecked,
+without the scans.
 """
 
 from __future__ import annotations
@@ -98,19 +104,20 @@ class MassFunction(Frozen):
     dict is not to be changed after construction.
 
     Only a singleton+frame mass function that the library builds from a
-    frame-order vector (see _from_vector) has a vector: it makes its masses
-    dict the first time it is read, and its other methods read the vector.
-    Any other is built from a dict, which _cleaned checks in one O(F) loop.
+    frame-order vector has a vector: it makes its masses dict the first
+    time it is read, and its other methods read the vector.  Any other
+    holds a dict, which the constructor checks with _cleaned in one O(F)
+    loop; a dict the library computes from checked operands skips it.
     """
 
     __match_args__ = ("frame", "masses")
 
-    # (singleton masses in frame order, mass of the frame); set by _from_vector only
+    # (singleton masses in frame order, mass of the frame); set by _unchecked only
     _vector = None
 
     def __init__(self, frame: Frame, masses: Mapping[int, float]) -> None:
         set_field(self, "frame", frame)
-        # hides the cached_property below, which only _from_vector's instances reach
+        # hides the cached_property below, which only vector-built instances reach
         set_field(self, "masses", _cleaned(masses, frame.theta))
 
     @cached_property
@@ -120,16 +127,13 @@ class MassFunction(Frozen):
 
     @classmethod
     def _from_vector(cls, frame: Frame, singles: list[float], theta_mass: float) -> "MassFunction":
-        """Singleton masses in frame order plus the frame's mass.
+        """Singleton masses in frame order plus the frame's mass, checked.
 
         The vector is validated by scans that run in C, and the masses dict
         is left to be built from it when first read.
         """
         if len(singles) > 1 and _plain_vector(singles, theta_mass):
-            m = cls.__new__(cls)
-            set_field(m, "frame", frame)
-            set_field(m, "_vector", (singles, theta_mass))
-            return m
+            return _unchecked(frame, "_vector", (singles, theta_mass))
         # the one-hypothesis frame, or a vector that a scan rejects: the
         # constructor builds the dict now, or raises its usual error
         return cls(frame, _vector_masses(frame, singles, theta_mass))
@@ -170,6 +174,17 @@ class MassFunction(Frozen):
         if vector is None:
             return self.masses == {self.frame.theta: 1.0}
         return vector[1] == 1.0 and not any(vector[0])
+
+
+def _unchecked(frame: Frame, name: str, value: object) -> MassFunction:
+    """A MassFunction over frame holding value as its "masses" dict or its
+    "_vector", built without the checks: only for a value known to pass
+    them, a vector that _plain_vector accepts or a dict that _cleaned
+    would give back unchanged."""
+    m = MassFunction.__new__(MassFunction)
+    set_field(m, "frame", frame)
+    set_field(m, name, value)
+    return m
 
 
 def _vector_masses(frame: Frame, singles: list[float], theta_mass: float) -> dict[int, float]:
@@ -256,6 +271,13 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
     residual = 1.0 - max(scores)
     total = math.fsum(scores) + residual
     singles = list(map(truediv, scores, repeat(total)))
+    if len(singles) > 1 and {*map(type, scores)} == {float}:
+        # float scores in [0, 1]: each, like the residual, is at most total,
+        # so every mass is a float in [0, 1], and they sum to 1 within a
+        # few ulps
+        return _unchecked(frame, "_vector", (singles, residual / total))
+    # the one-hypothesis frame, or a score of another type, whose quotient
+    # may be no float: the checked path
     return MassFunction._from_vector(frame, singles, residual / total)
 
 
@@ -296,10 +318,16 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
             buckets[s1 & s2].append(v1 * v2)
     k = math.fsum(buckets.pop(0, ()))
     _check_conflict(k)
-    totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
-    survived = math.fsum(totals.values())
-    combined = {mask: value / survived for mask, value in totals.items()}
-    return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
+    totals = list(map(math.fsum, buckets.values()))
+    survived = math.fsum(totals)
+    combined = dict(zip(buckets, map(truediv, totals, repeat(survived))))
+    # the operands' masks are in the frame, so each nonempty intersection
+    # is too; each total is at most survived, so every mass is a float in
+    # [0, 1], and the masses sum to 1 within a few ulps.  A product that
+    # underflowed to 0.0 leaves a zero mass, which the constructor drops.
+    if 0.0 in combined.values():
+        return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
+    return CombinationOutcome(_unchecked(m1.frame, "masses", combined), k, (k,))
 
 
 def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
@@ -325,9 +353,9 @@ def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcom
     theta_mass = t_a * t_b
     survived = fsum(chain(totals, (theta_mass,)))
     singles = list(map(truediv, totals, repeat(survived)))
-    return CombinationOutcome(
-        MassFunction._from_vector(m1.frame, singles, theta_mass / survived), k, (k,)
-    )
+    # each total, like theta_mass, is at most survived: every mass is a
+    # float in [0, 1], and the masses sum to 1 within a few ulps
+    return CombinationOutcome(_unchecked(m1.frame, "_vector", (singles, theta_mass / survived)), k, (k,))
 
 
 def _check_conflict(k: float) -> None:

@@ -38,6 +38,9 @@ _DECIMAL_PRECISION = 28
 # 30 MB process at alpha 0.7; a length past the index range would raise
 # OverflowError, and one just inside it would run for hours
 _MAX_N = 100_000
+# the longest n past _MAX_N that the ceiling's message writes out, in bits
+# (10**20 has 67, 10**30 has 100)
+_NAMED_BITS = 100
 
 
 def orness(weights: Iterable[float]) -> float:
@@ -220,11 +223,12 @@ def mem_weights(n: int, alpha: float = DEFAULT_ALPHA) -> WeightVector:
     if n < 2:
         raise ValueError("a weight vector needs at least two entries")
     if n > _MAX_N:
-        try:
-            got = f"n = {n}"
-        except ValueError:
-            # more digits than str() writes out
+        # an int past _NAMED_BITS is named by its length, not written out
+        # digit by digit; a float's repr is always short
+        if isinstance(n, int) and n.bit_length() > _NAMED_BITS:
             got = f"an n of {n.bit_length()} bits"
+        else:
+            got = f"n = {n}"
         raise ValueError(f"a weight vector has at most {_MAX_N} entries, got {got}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")

@@ -177,9 +177,13 @@ class ReferenceBounds(Frozen):
         set_field(self, "component_weights", component_weights)
         set_field(self, "_scoring", (*score_weights, w1, w2, hmax, w1 * d_ref * d_ref + w2 * d_ref * d_ref))
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle carry alpha alone and derive the rest again
+        return ReferenceBounds, (self.alpha,)
+
     def __setstate__(self, state: dict) -> None:
-        # copy and pickle derive everything again from the score weights'
-        # alpha, which pickles written before alpha was the field hold too
+        # loads pickles written before __reduce__, which hold every attribute:
+        # the score weights' alpha is in them whether or not alpha is
         ReferenceBounds.__init__(self, state["score_weights"].alpha)
 
     @classmethod

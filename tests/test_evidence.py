@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,10 +21,11 @@ from zfuse.evidence import (
     combine_all,
     dempster_combine,
 )
-from zfuse.pipeline import AssessmentMatrix, decide
+from zfuse.pipeline import AssessmentMatrix, decide, source_bpas
 from zfuse.zmodel import LEXICON, ZNumber
 
 from oracles import reference_combine
+from test_pipeline import labelled, numeric_rows
 
 ABC = Frame(("A", "B", "C"))
 
@@ -748,25 +750,44 @@ class TestDictBuiltEvidence:
                 assert m.focal_items() == twin.focal_items()
 
     def test_decide_validates_no_dict(self, monkeypatch):
+        # nor any vector: decide on a lexicon and a numeric grid, and
+        # combine_all on mass functions built from dicts beforehand
         rng = random.Random(200)
         shapes = [term.shape for term in LEXICON]
-        m = AssessmentMatrix(
+        lexicon = AssessmentMatrix(
             frame=Frame(tuple(f"H{j}" for j in range(200))),
             sources=("E0", "E1", "E2"),
             cells=tuple(
                 tuple(ZNumber(rng.choice(shapes), rng.choice(shapes)) for _ in range(200)) for _ in range(3)
             ),
         )
+        grids = (lexicon, labelled(numeric_rows(rng, 40, 12)))
+        frame = Frame(tuple(f"h{i}" for i in range(10)))
+        general = [bucket_mass(rng, frame) for _ in range(12)]
+        expected = [decide(m) for m in grids], combine_all(general)
 
-        def cleaned(masses, theta):
-            raise AssertionError("a masses dict was validated")
+        def validated(*args):
+            raise AssertionError("a masses dict or vector was validated")
 
-        monkeypatch.setattr(evidence, "_cleaned", cleaned)
-        report = decide(m)
-        assert len(report.conflict_trace) == 2
-        for mode in ("decide", "bpa"):
-            build, table = cli._MODES[mode]
-            table(build(m, 0.7), ".4f")
+        monkeypatch.setattr(evidence, "_cleaned", validated)
+        monkeypatch.setattr(evidence, "_plain_vector", validated)
+        steps = []
+        step = evidence.dempster_combine
+        monkeypatch.setattr(evidence, "dempster_combine", lambda m1, m2: steps.append(1) or step(m1, m2))
+        for m, want in zip(grids, expected[0]):
+            report = decide(m)
+            assert len(report.conflict_trace) == len(m.sources) - 1
+            assert exact_items(report.fused) == exact_items(want.fused)
+            assert [k.hex() for k in report.conflict_trace] == [k.hex() for k in want.conflict_trace]
+            assert report.ranking == want.ranking
+            for mode in ("decide", "bpa"):
+                build, table = cli._MODES[mode]
+                table(build(m, 0.7), ".4f")
+        got = combine_all(general)
+        assert exact_items(got.combined) == exact_items(expected[1].combined)
+        # every fold step went through the module global: decide and the
+        # decide report each fold 3 and 40 sources, and combine_all 12 inputs
+        assert len(steps) == 2 * (2 + 39) + 11
 
 
 def setdefault_combine(m1, m2):
@@ -869,3 +890,104 @@ class TestGeneralRuleBuckets:
             got = combine_all(ms)
             assert exact_items(got.combined) == exact_items(acc)
             assert [k.hex() for k in got.steps] == [k.hex() for k in steps]
+
+
+def assert_checks_keep(m):
+    """m is a mass function the checked path would accept unchanged: a
+    vector passes _plain_vector, and _cleaned gives back the masses dict
+    with the same items, key order, key types and float bits."""
+    if m._vector is not None:
+        assert evidence._plain_vector(*m._vector)
+    cleaned = evidence._cleaned(m.masses, m.frame.theta)
+    assert [(type(mask), mask, value.hex()) for mask, value in cleaned.items()] == exact_items(m)
+
+
+def parent_bpa(frame, scores):
+    """bpa_from_similarities as written when every BPA went through the
+    checked _from_vector: the oracle for the BPAs built without it."""
+    residual = 1.0 - max(scores)
+    total = math.fsum(scores) + residual
+    return MassFunction._from_vector(frame, [s / total for s in scores], residual / total)
+
+
+class _Scaled(float):
+    """A float whose quotients are _Scaled too, so no float."""
+
+    def __truediv__(self, other):
+        return _Scaled(float(self) / other)
+
+
+class TestUncheckedResults:
+    """BPAs from float similarities and Dempster results on checked operands
+    skip the checks; each is one the checks would have kept unchanged."""
+
+    def test_bpas_and_fold_steps(self):
+        rng = random.Random(2801)
+        sizes = [2, 3, 5, 61, 62, 200, 1500] + [rng.randint(2, 300) for _ in range(10)]
+        tiny = (0.0, 1e-300, 5e-324)
+        for size in sizes:
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            rows = similarity_rows(rng, size, 2 if size > 200 else 4)
+            rows += [[0.0] * size, [1e-300] * size, [5e-324] * size]
+            rows.append([rng.choice((*tiny, rng.random())) for _ in range(size)])
+            rng.shuffle(rows)
+            bpas = [bpa_from_similarities(frame, row) for row in rows]
+            for m, row in zip(bpas, rows):
+                assert m._vector is not None
+                assert_checks_keep(m)
+                assert exact_items(m) == exact_items(parent_bpa(frame, row))
+            acc = bpas[0]
+            for m in bpas[1:]:
+                acc = dempster_combine(acc, m).combined
+                assert_checks_keep(acc)
+
+    def test_theta_underflow_fold(self):
+        # the 2000 x 5 grid of test_pipeline's TestThetaUnderflow
+        bpas = source_bpas(labelled(numeric_rows(random.Random(2000), 2000, 5)))
+        acc = bpas[0]
+        for bpa in bpas:
+            assert_checks_keep(bpa)
+        for bpa in bpas[1:]:
+            acc = dempster_combine(acc, bpa).combined
+            assert_checks_keep(acc)
+        assert acc.theta_mass() == 0.0
+
+    def test_general_rule_pairs(self):
+        rng = random.Random(2802)
+        for _ in range(3000):
+            frame = Frame(tuple(f"h{i}" for i in range(rng.randint(2, 12))))
+            assert_checks_keep(_combine_general(bucket_mass(rng, frame), bucket_mass(rng, frame)).combined)
+
+    def test_an_underflowed_product_takes_the_constructor(self, monkeypatch):
+        frame = Frame(("a", "b", "c"))
+        theta, left, right = frame.theta, 0b011, 0b110
+        m1 = MassFunction(frame, {left: 1e-200, theta: 1.0})
+        m2 = MassFunction(frame, {right: 1e-200, theta: 1.0})
+        want = setdefault_combine(m1, m2)
+        checked = []
+        cleaned = evidence._cleaned
+        monkeypatch.setattr(evidence, "_cleaned", lambda masses, th: checked.append(dict(masses)) or cleaned(masses, th))
+        got = dempster_combine(m1, m2)
+        # left & right = 0b010 gets 1e-200 * 1e-200, which is 0.0
+        assert checked == [{left & right: 0.0, left: 1e-200, right: 1e-200, theta: 1.0}]
+        assert exact_items(got.combined) == exact_items(want.combined)
+        assert list(got.combined.masses) == [left, right, theta]
+        assert got.conflict.hex() == want.conflict.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize(
+        "kind",
+        [float, int, bool, Fraction, _Float, _Scaled],
+        ids=["float", "int", "bool", "Fraction", "float-subclass", "no-float-quotient"],
+    )
+    def test_score_types_give_the_checked_bpa(self, kind):
+        rng = random.Random(2804)
+        for size in (1, 2, 3, 62, 300):
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            for row in similarity_rows(rng, size, 4) + [[0.0] * size, [1.0] * size]:
+                scores = [kind(round(s)) if kind in (int, bool) else kind(s) for s in row]
+                got, want = bpa_from_similarities(frame, scores), parent_bpa(frame, scores)
+                assert got == want
+                assert got._vector == want._vector
+                assert ("masses" in got.__dict__) == ("masses" in want.__dict__)
+                assert exact_items(got) == exact_items(want)
+                assert all(type(v) is float for v in got.masses.values())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -95,16 +96,28 @@ class TestMemWeights:
         assert v[1] + v[2] == pytest.approx(0.446028, abs=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
-    @pytest.mark.parametrize("n", [owa._MAX_N + 1, 10**20, pytest.param(10**5000, id="10**5000")])
-    def test_rejects_n_past_the_ceiling(self, monkeypatch, n, alpha):
+    @pytest.mark.parametrize(
+        "n, got",
+        [
+            (owa._MAX_N + 1, "n = 100001"),
+            (10**20, "n = 100000000000000000000"),
+            (2**100 - 1, "n = 1267650600228229401496703205375"),
+            (1e20, "n = 1e+20"),
+            (math.inf, "n = inf"),
+            (2**100, "an n of 101 bits"),
+            (10**4299, "an n of 14281 bits"),
+            (10**5000, "an n of 16610 bits"),
+        ],
+        ids=["100001", "100000000000000000000", "2**100-1", "1e20", "inf", "2**100", "10**4299", "10**5000"],
+    )
+    def test_rejects_n_past_the_ceiling(self, monkeypatch, n, got, alpha):
         # checked before anything is built: a solver step fails the test
         # instead of running for hours at 10**20
         monkeypatch.setattr(owa, "_root", None)
         monkeypatch.setattr(owa, "_geometric", None)
-        # an n with more digits than str() writes out (4300 by default) is
-        # named by its length
-        got = f"n = {n}" if n <= 10**20 else "an n of 16610 bits"
-        with pytest.raises(ValueError, match=rf"^a weight vector has at most 100000 entries, got {got}$"):
+        # an int past 100 bits is named by its length, so the message stays
+        # short even where str() would write 4300 digits
+        with pytest.raises(ValueError, match=rf"^a weight vector has at most 100000 entries, got {re.escape(got)}$"):
             mem_weights(n, alpha)
 
     def test_neutral_alpha_is_uniform(self):

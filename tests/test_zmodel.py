@@ -331,6 +331,26 @@ OLD_REFS_PICKLES = {
     ),
 }
 
+# base64 of pickle.dumps(ReferenceBounds(0.7), protocol) before ReferenceBounds
+# pickled alpha alone: alpha and every attribute derived from it
+DERIVED_REFS_PICKLES = {
+    2: (
+        "gAJjemZ1c2Uuem1vZGVsClJlZmVyZW5jZUJvdW5kcwpxACmBcQF9cQIoWAUAAABhbHBoYXEDRz/mZmZmZmZmWAQAAABobWF4"
+        "cQRHP/AAAAAAAABYBAAAAGhtaW5xBUc/3Iu31sBdS1gNAAAAc2NvcmVfd2VpZ2h0c3EGY3pmdXNlLm93YQpXZWlnaHRWZWN0"
+        "b3IKcQcpgXEIfXEJKFgHAAAAd2VpZ2h0c3EKRz/huiQUn9FbRz/SsQlHGlLDRz/DtV0fTBUQh3ELaANHP+ZmZmZmZmZ1YlgR"
+        "AAAAY29tcG9uZW50X3dlaWdodHNxDGgHKYFxDX1xDihoCkc/5mZmZmZmZkc/0zMzMzMzM4ZxD2gDRz/mZmZmZmZmdWJYCAAA"
+        "AF9zY29yaW5ncRAoRz/huiQUn9FbRz/SsQlHGlLDRz/DtV0fTBUQRz/mZmZmZmZmRz/TMzMzMzMzRz/wAAAAAAAARz/TpAIz"
+        "BH2MdHERdWIu"
+    ),
+    5: (
+        "gAWVUAEAAAAAAACMDHpmdXNlLnptb2RlbJSMD1JlZmVyZW5jZUJvdW5kc5STlCmBlH2UKIwFYWxwaGGURz/mZmZmZmZmjARo"
+        "bWF4lEc/8AAAAAAAAIwEaG1pbpRHP9yLt9bAXUuMDXNjb3JlX3dlaWdodHOUjAl6ZnVzZS5vd2GUjAxXZWlnaHRWZWN0b3KU"
+        "k5QpgZR9lCiMB3dlaWdodHOURz/huiQUn9FbRz/SsQlHGlLDRz/DtV0fTBUQh5RoBUc/5mZmZmZmZnVijBFjb21wb25lbnRf"
+        "d2VpZ2h0c5RoCymBlH2UKGgORz/mZmZmZmZmRz/TMzMzMzMzhpRoBUc/5mZmZmZmZnVijAhfc2NvcmluZ5QoRz/huiQUn9Fb"
+        "Rz/SsQlHGlLDRz/DtV0fTBUQRz/mZmZmZmZmRz/TMzMzMzMzRz/wAAAAAAAARz/TpAIzBH2MdJR1Yi4="
+    ),
+}
+
 
 class TestScoringKernel:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
@@ -378,6 +398,23 @@ class TestScoringKernel:
         loaded = pickle.loads(base64.b64decode("".join(OLD_REFS_PICKLES[protocol])))
         assert loaded == refs and repr(loaded) == repr(refs)
         assert scored_reprs(loaded) == scored_reprs(refs)
+
+    @pytest.mark.parametrize("protocol", DERIVED_REFS_PICKLES)
+    def test_a_pickle_of_every_attribute_still_scores(self, protocol):
+        refs = ReferenceBounds(0.7)
+        loaded = pickle.loads(base64.b64decode("".join(DERIVED_REFS_PICKLES[protocol])))
+        assert loaded == refs and repr(loaded) == repr(refs)
+        assert loaded._scoring == refs._scoring
+        assert scored_reprs(loaded) == scored_reprs(refs)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1e-8])
+    def test_a_pickle_holds_alpha_alone(self, alpha):
+        refs = ReferenceBounds(alpha)
+        # the class, one float and the opcodes around them; protocol 4 adds a frame
+        sizes = {p: len(pickle.dumps(refs, p)) for p in range(2, 6)}
+        assert sizes == {2: 50, 3: 50, 4: 60, 5: 60}
+        assert all(pickle.loads(pickle.dumps(refs, p)) == refs for p in sizes)
+        assert refs.__reduce__() == (ReferenceBounds, (alpha,))
 
     @staticmethod
     def counting_kernel(monkeypatch):

@@ -8,11 +8,11 @@ carry their masses as a frame-order vector, and Dempster's rule runs on
 those vectors.  A mass function built from a dict has no vector and fuses
 on the general rule.
 
-Masses are checked once, where they come in: a dict by the constructor,
-a vector by _from_vector, similarities by bpa_from_similarities' range
-check.  Dempster's rule on two valid mass functions gives a valid one, so
-what the library computes from checked operands is built by _unchecked,
-without the scans.
+Masses are checked once, where they come in from outside the library: a
+dict by the constructor, similarities by bpa_from_similarities' range
+check.  A BPA from checked similarities is valid, and so is Dempster's
+rule on two valid mass functions, so everything the library computes is
+built by _unchecked, without the checks.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ class MassFunction(Frozen):
     compare equal regardless of how they were written down.  The masses
     dict is not to be changed after construction.
 
-    Only a singleton+frame mass function that the library builds from a
-    frame-order vector has a vector: it makes its masses dict the first
-    time it is read, and its other methods read the vector.  Any other
-    holds a dict, which the constructor checks with _cleaned in one O(F)
-    loop; a dict the library computes from checked operands skips it.
+    Every BPA from similarities on two or more hypotheses, and every
+    Dempster step on them, has a frame-order vector: it makes its masses
+    dict the first time it is read, and its other methods read the vector.
+    Any other holds a dict, which the constructor checks with _cleaned in
+    one O(F) loop; a dict the library computes skips it.
     """
 
     __match_args__ = ("frame", "masses")
@@ -124,19 +124,6 @@ class MassFunction(Frozen):
     def masses(self) -> dict[int, float]:
         """The masses dict of a vector-built mass function, built on first read."""
         return _vector_masses(self.frame, *self._vector)
-
-    @classmethod
-    def _from_vector(cls, frame: Frame, singles: list[float], theta_mass: float) -> "MassFunction":
-        """Singleton masses in frame order plus the frame's mass, checked.
-
-        The vector is validated by scans that run in C, and the masses dict
-        is left to be built from it when first read.
-        """
-        if len(singles) > 1 and _plain_vector(singles, theta_mass):
-            return _unchecked(frame, "_vector", (singles, theta_mass))
-        # the one-hypothesis frame, or a vector that a scan rejects: the
-        # constructor builds the dict now, or raises its usual error
-        return cls(frame, _vector_masses(frame, singles, theta_mass))
 
     def theta_mass(self) -> float:
         vector = self._vector
@@ -179,8 +166,8 @@ class MassFunction(Frozen):
 def _unchecked(frame: Frame, name: str, value: object) -> MassFunction:
     """A MassFunction over frame holding value as its "masses" dict or its
     "_vector", built without the checks: only for a value known to pass
-    them, a vector that _plain_vector accepts or a dict that _cleaned
-    would give back unchanged."""
+    them, a dict that _cleaned would give back unchanged or a vector of
+    floats in [0, 1] that sum to 1, on two or more hypotheses."""
     m = MassFunction.__new__(MassFunction)
     set_field(m, "frame", frame)
     set_field(m, name, value)
@@ -192,23 +179,8 @@ def _vector_masses(frame: Frame, singles: list[float], theta_mass: float) -> dic
     frame's own masks."""
     masses = dict(compress(zip(frame.singletons, singles), singles))
     if theta_mass:
-        # in a one-hypothesis frame the singleton is the frame itself
-        masses[frame.theta] = masses.get(frame.theta, 0.0) + theta_mass
+        masses[frame.theta] = theta_mass
     return masses
-
-
-def _plain_vector(singles: list[float], theta_mass: float) -> bool:
-    """True when _vector_masses would give a dict the constructor keeps unchanged.
-
-    Float masses in [0, 1] summing to 1; zeros are fine, as they are left
-    out of the dict.  The scans run in C.
-    """
-    if type(theta_mass) is not float or {*map(type, singles)} != {float}:
-        return False
-    if not (min(singles) >= 0.0 and max(singles) <= 1.0 and 0.0 <= theta_mass <= 1.0):
-        return False
-    # a NaN can slip past min and max, but not past this
-    return abs(math.fsum(chain(singles, (theta_mass,))) - 1.0) <= 1e-12
 
 
 # the mask types of a valid dict, checked in one C scan; bool is an int too
@@ -260,6 +232,11 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
     1 - max(scores) goes to the whole frame, then everything is normalized.
     All-zero scores therefore collapse to the vacuous assignment, and a
     perfect score leaves no residual ignorance.
+
+    Scores are real numbers.  The range check runs on them as given; then
+    each is read once with float(), and the arithmetic runs on those
+    floats.  A type whose float() leaves the interval its own comparisons
+    accept is outside this contract.
     """
     if len(scores) != len(frame):
         raise ValueError(
@@ -268,17 +245,16 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
     for s in scores:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"similarities must lie in [0, 1], got {s}")
-    residual = 1.0 - max(scores)
-    total = math.fsum(scores) + residual
-    singles = list(map(truediv, scores, repeat(total)))
-    if len(singles) > 1 and {*map(type, scores)} == {float}:
-        # float scores in [0, 1]: each, like the residual, is at most total,
-        # so every mass is a float in [0, 1], and they sum to 1 within a
-        # few ulps
-        return _unchecked(frame, "_vector", (singles, residual / total))
-    # the one-hypothesis frame, or a score of another type, whose quotient
-    # may be no float: the checked path
-    return MassFunction._from_vector(frame, singles, residual / total)
+    sims = list(map(float, scores))
+    residual = 1.0 - max(sims)
+    total = math.fsum(sims) + residual
+    singles = list(map(truediv, sims, repeat(total)))
+    # each score, like the residual, is at most total, so every mass is a
+    # float in [0, 1], and they sum to 1 within a few ulps
+    if len(singles) == 1:
+        # the one hypothesis is the frame, which takes both masses
+        return _unchecked(frame, "masses", {frame.theta: singles[0] + residual / total})
+    return _unchecked(frame, "_vector", (singles, residual / total))
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
@@ -324,9 +300,9 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     # the operands' masks are in the frame, so each nonempty intersection
     # is too; each total is at most survived, so every mass is a float in
     # [0, 1], and the masses sum to 1 within a few ulps.  A product that
-    # underflowed to 0.0 leaves a zero mass, which the constructor drops.
+    # underflowed to 0.0 leaves a zero mass, dropped as the constructor would.
     if 0.0 in combined.values():
-        return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
+        combined = {mask: value for mask, value in combined.items() if value}
     return CombinationOutcome(_unchecked(m1.frame, "masses", combined), k, (k,))
 
 

@@ -251,5 +251,8 @@ def rank_znumbers(
     znumbers: Sequence[ZNumber], refs: ReferenceBounds | None = None
 ) -> list[tuple[int, float]]:
     """(index, similarity) pairs ordered best first; ties keep input order."""
+    if refs is None:
+        # once per call, not once per Z-number
+        refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
     sims = [similarity(z, refs) for z in znumbers]
     return [(i, sims[i]) for i in best_first(sims)]

@@ -147,6 +147,33 @@ class TestBpaFromSimilarities:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             bpa_from_similarities(ABC, [0.5, 1.2, 0.1])
 
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize(
+        "bad, error, shown",
+        [
+            ("0.5", TypeError, None),
+            (b"0.5", TypeError, None),
+            (None, TypeError, None),
+            (math.nan, ValueError, "nan"),
+            (-0.1, ValueError, "-0.1"),
+            (1.2, ValueError, "1.2"),
+            (2, ValueError, "2"),
+            (Fraction(3, 2), ValueError, "3/2"),
+            (10**400, ValueError, str(10**400)),
+        ],
+        ids=["str", "bytes", "None", "nan", "negative", "above-one", "int", "Fraction", "huge-int"],
+    )
+    def test_the_range_check_reads_scores_as_given(self, size, bad, error, shown):
+        # the check runs before any float(): a value is named as given, and
+        # an int past the float range is out of range, not an OverflowError
+        frame = Frame(tuple(f"h{i}" for i in range(size)))
+        scores = [0.5] * size
+        scores[-1] = bad
+        with pytest.raises(error) as got:
+            bpa_from_similarities(frame, scores)
+        if shown is not None:
+            assert str(got.value) == f"similarities must lie in [0, 1], got {shown}"
+
     def test_argmax_and_normalization_hold_up(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -287,7 +314,24 @@ def singleton_bpa(rng, frame, peaked):
     total = math.fsum(masses.values())
     # in a one-hypothesis frame the singleton is the frame: its mass is the frame's
     singles = [0.0 if mask == frame.theta else masses.get(mask, 0.0) / total for mask in frame.singletons]
-    return MassFunction._from_vector(frame, singles, masses[frame.theta] / total)
+    return vector_bpa(frame, singles, masses[frame.theta] / total)
+
+
+def assert_valid_vector(singles, theta_mass):
+    """The oracle for a frame-order vector: float masses in [0, 1] that sum
+    to 1 within 1e-12, the dict check's own bound."""
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in (*singles, theta_mass))
+    assert abs(math.fsum((*singles, theta_mass)) - 1.0) <= 1e-12
+
+
+def vector_bpa(frame, singles, theta_mass):
+    """A mass function holding a checked frame-order vector, as the library
+    builds its BPAs; on one hypothesis, where no vector exists, the dict
+    with the frame's mass."""
+    assert_valid_vector(singles, theta_mass)
+    if len(frame) == 1:
+        return MassFunction(frame, {frame.theta: singles[0] + theta_mass})
+    return evidence._unchecked(frame, "_vector", (singles, theta_mass))
 
 
 class TestSingletonFastPath:
@@ -319,7 +363,7 @@ class TestSingletonFastPath:
         assert max_k > 0.999
 
     def test_negligible_cross_terms_give_no_negative_conflict(self):
-        m = MassFunction._from_vector(ABC, [0.6, 1e-17, 0.0], 0.4 - 1e-17)
+        m = vector_bpa(ABC, [0.6, 1e-17, 0.0], 0.4 - 1e-17)
         out = dempster_combine(m, m)
         assert out.conflict == pytest.approx(_combine_general(m, m).conflict, abs=1e-15)
         assert out.conflict >= 0.0
@@ -558,7 +602,7 @@ class TestFrameOrderVectors:
             fused = combine_all(bpas).combined
             for m in [*bpas, fused]:
                 if size > 1:
-                    assert "_vector" in m.__dict__  # attached by _from_vector
+                    assert "_vector" in m.__dict__  # attached when built
                     assert m._vector == hashed_vector(m)
                 else:
                     assert m._vector is None
@@ -688,41 +732,6 @@ class TestLazyMasses:
         assert "masses" not in lazy.__dict__
         assert lazy.masses and "masses" in lazy.__dict__
 
-    @pytest.mark.parametrize(
-        "singles, theta_mass",
-        [
-            ([math.nan, 0.5, 0.0], 0.5),
-            ([0.2, 0.3, 0.0], math.nan),
-            ([-0.25, 0.75, 0.0], 0.5),
-            ([0.25, 0.0, 0.0], -0.25),
-            ([1.5, 0.0, 0.0], -0.5),
-            ([math.inf, 0.0, 0.0], 0.0),
-            ([0.2, 0.3, 0.0], 0.4),
-            ([0.0, 0.0, 0.0], 0.0),
-            ([0.5, 0.5, 1e-11], 0.0),
-        ],
-        ids=["nan", "nan-frame", "negative", "negative-frame", "above-one", "inf", "short", "empty", "long"],
-    )
-    def test_bad_vectors_raise_as_the_dict_path_does(self, singles, theta_mass):
-        masses = {1 << i: v for i, v in enumerate(singles) if v}
-        if theta_mass:
-            masses[ABC.theta] = theta_mass
-        with pytest.raises(ValueError) as expected:
-            MassFunction(ABC, masses)
-        with pytest.raises(ValueError) as got:
-            MassFunction._from_vector(ABC, singles, theta_mass)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
-
-    def test_a_vector_the_scans_reject_can_still_be_a_bpa(self):
-        # an int mass is no float, so the constructor takes it, as for a dict
-        m = MassFunction._from_vector(ABC, [0.5, 0.0, 0.25], 0.25)
-        n = MassFunction._from_vector(ABC, [0.5, 0, 0.25], 0.25)
-        assert "masses" not in m.__dict__ and "masses" in n.__dict__
-        assert n._vector is None
-        assert m == n
-        assert n.focal_items() == m.focal_items()
-
 
 class TestDictBuiltEvidence:
     """A singleton+frame mass function built from a dict has no vector: it
@@ -766,11 +775,22 @@ class TestDictBuiltEvidence:
         general = [bucket_mass(rng, frame) for _ in range(12)]
         expected = [decide(m) for m in grids], combine_all(general)
 
+        # {A: 1e-200} and {B: 1e-200} with A & B nonempty: a product underflows
+        underflow = [MassFunction(frame, {mask: 1e-200, frame.theta: 1.0}) for mask in (0b011, 0b110)]
+        expected_underflow = setdefault_combine(*underflow)
+
         def validated(*args):
-            raise AssertionError("a masses dict or vector was validated")
+            raise AssertionError("a masses dict was validated")
 
         monkeypatch.setattr(evidence, "_cleaned", validated)
-        monkeypatch.setattr(evidence, "_plain_vector", validated)
+        # BPAs from scores of every type, on one, two and 1500 hypotheses
+        for size in (1, 2, 1500):
+            wide = Frame(tuple(f"h{i}" for i in range(size)))
+            row = [rng.random() for _ in range(size)]
+            for kind in SCORE_TYPES:
+                assert bpa_from_similarities(wide, typed_scores(kind, row)).masses
+        got = dempster_combine(*underflow)
+        assert exact_items(got.combined) == exact_items(expected_underflow.combined)
         steps = []
         step = evidence.dempster_combine
         monkeypatch.setattr(evidence, "dempster_combine", lambda m1, m2: steps.append(1) or step(m1, m2))
@@ -893,21 +913,25 @@ class TestGeneralRuleBuckets:
 
 
 def assert_checks_keep(m):
-    """m is a mass function the checked path would accept unchanged: a
-    vector passes _plain_vector, and _cleaned gives back the masses dict
-    with the same items, key order, key types and float bits."""
+    """m is a mass function the checks would accept unchanged: a vector is
+    valid, and _cleaned gives back the masses dict with the same items, key
+    order, key types and float bits."""
     if m._vector is not None:
-        assert evidence._plain_vector(*m._vector)
+        assert_valid_vector(*m._vector)
     cleaned = evidence._cleaned(m.masses, m.frame.theta)
     assert [(type(mask), mask, value.hex()) for mask, value in cleaned.items()] == exact_items(m)
 
 
 def parent_bpa(frame, scores):
-    """bpa_from_similarities as written when every BPA went through the
-    checked _from_vector: the oracle for the BPAs built without it."""
+    """bpa_from_similarities as written when its BPAs went through the dict
+    check: the scores' own quotients, in a dict the constructor builds.  The
+    oracle for the BPAs built without the check."""
     residual = 1.0 - max(scores)
     total = math.fsum(scores) + residual
-    return MassFunction._from_vector(frame, [s / total for s in scores], residual / total)
+    masses = {1 << i: s / total for i, s in enumerate(scores) if s}
+    # in a one-hypothesis frame the singleton is the frame itself
+    masses[frame.theta] = masses.get(frame.theta, 0.0) + residual / total
+    return MassFunction(frame, masses)
 
 
 class _Scaled(float):
@@ -917,9 +941,17 @@ class _Scaled(float):
         return _Scaled(float(self) / other)
 
 
+SCORE_TYPES = [float, int, bool, Fraction, _Float, _Scaled]
+
+
+def typed_scores(kind, row):
+    """row as scores of type kind; ints and bools are rounded to 0 or 1."""
+    return [kind(round(s)) if kind in (int, bool) else kind(s) for s in row]
+
+
 class TestUncheckedResults:
-    """BPAs from float similarities and Dempster results on checked operands
-    skip the checks; each is one the checks would have kept unchanged."""
+    """BPAs from similarities and Dempster results on checked operands skip
+    the checks; each is one the checks would have kept unchanged."""
 
     def test_bpas_and_fold_steps(self):
         rng = random.Random(2801)
@@ -959,35 +991,41 @@ class TestUncheckedResults:
             assert_checks_keep(_combine_general(bucket_mass(rng, frame), bucket_mass(rng, frame)).combined)
 
     def test_an_underflowed_product_takes_the_constructor(self, monkeypatch):
+        # the constructor's treatment, without the constructor: the zero
+        # mass is dropped and the rest keep their order and bits
         frame = Frame(("a", "b", "c"))
         theta, left, right = frame.theta, 0b011, 0b110
         m1 = MassFunction(frame, {left: 1e-200, theta: 1.0})
         m2 = MassFunction(frame, {right: 1e-200, theta: 1.0})
         want = setdefault_combine(m1, m2)
         checked = []
-        cleaned = evidence._cleaned
-        monkeypatch.setattr(evidence, "_cleaned", lambda masses, th: checked.append(dict(masses)) or cleaned(masses, th))
+        monkeypatch.setattr(evidence, "_cleaned", lambda *args: checked.append(args))
         got = dempster_combine(m1, m2)
         # left & right = 0b010 gets 1e-200 * 1e-200, which is 0.0
-        assert checked == [{left & right: 0.0, left: 1e-200, right: 1e-200, theta: 1.0}]
+        assert checked == []
+        assert left & right not in got.combined.masses
         assert exact_items(got.combined) == exact_items(want.combined)
         assert list(got.combined.masses) == [left, right, theta]
         assert got.conflict.hex() == want.conflict.hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize(
-        "kind",
-        [float, int, bool, Fraction, _Float, _Scaled],
-        ids=["float", "int", "bool", "Fraction", "float-subclass", "no-float-quotient"],
+        "kind", SCORE_TYPES, ids=["float", "int", "bool", "Fraction", "float-subclass", "no-float-quotient"]
     )
     def test_score_types_give_the_checked_bpa(self, kind):
+        # every type gets a vector of exact floats, so none falls off the
+        # closed form, and the masses the dict check gave its own quotients
         rng = random.Random(2804)
         for size in (1, 2, 3, 62, 300):
             frame = Frame(tuple(f"h{i}" for i in range(size)))
             for row in similarity_rows(rng, size, 4) + [[0.0] * size, [1.0] * size]:
-                scores = [kind(round(s)) if kind in (int, bool) else kind(s) for s in row]
+                scores = typed_scores(kind, row)
                 got, want = bpa_from_similarities(frame, scores), parent_bpa(frame, scores)
+                if size == 1:
+                    assert got._vector is None
+                else:
+                    singles, theta_mass = got._vector
+                    assert all(type(v) is float for v in (*singles, theta_mass))
+                    assert "masses" not in got.__dict__
                 assert got == want
-                assert got._vector == want._vector
-                assert ("masses" in got.__dict__) == ("masses" in want.__dict__)
                 assert exact_items(got) == exact_items(want)
                 assert all(type(v) is float for v in got.masses.values())

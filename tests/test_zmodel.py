@@ -294,6 +294,20 @@ class TestRankZnumbers:
         ranked = rank_znumbers([ZNumber(a, term("Low")), ZNumber(a, term("Very-high"))])
         assert [i for i, _ in ranked] == [1, 0]
 
+    def test_default_refs_are_built_once_per_call(self, monkeypatch):
+        rng = random.Random(290)
+
+        def shape():
+            return TrapezoidalFuzzyNumber(*sorted(rng.random() for _ in range(4)), rng.uniform(0.5, 1.0))
+
+        znumbers = [ZNumber(shape(), shape()) for _ in range(1000)]
+        expected = rank_znumbers(znumbers, ReferenceBounds.from_alpha(0.7))
+        built = []
+        make = ReferenceBounds.from_alpha
+        monkeypatch.setattr(ReferenceBounds, "from_alpha", lambda *args: built.append(args) or make(*args))
+        assert rank_znumbers(znumbers) == expected
+        assert len(built) == 1
+
 
 def scoring_cases(rng):
     """Lexicon x lexicon pairs, then seeded numeric shapes, some far off."""

@@ -22,7 +22,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import mul, neg, truediv
+from operator import mul, truediv
 
 from ._frozen import Frozen, set_field
 
@@ -287,8 +287,8 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     """Dempster's rule over every pair of focal sets, for any structure."""
     # the products that conflict land in bucket 0
     buckets: defaultdict[int, list[float]] = defaultdict(list)
-    # once per step, not per left focal set
-    right = m2.masses.items()
+    # read once per step, as a tuple: it iterates faster than a dict view
+    right = tuple(m2.masses.items())
     for s1, v1 in m1.masses.items():
         for s2, v2 in right:
             buckets[s1 & s2].append(v1 * v2)
@@ -322,9 +322,9 @@ def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcom
     fsum = math.fsum
     xy = list(map(mul, xs, ys))
     totals = list(map(fsum, zip(xy, map(mul, xs, repeat(t_b)), map(mul, repeat(t_a), ys))))
-    # when the cross terms are below the rounding of s1 * s2, k can come
-    # out a hair below zero
-    k = max(0.0, fsum(chain(map(neg, xy), (fsum(xs) * fsum(ys),))))
+    # fsum(-v) is -fsum(v) bit for bit, as fsum rounds correctly; k can come
+    # out a hair below zero, or as -0.0, which max turns into +0.0
+    k = max(0.0, -fsum(chain(xy, (-(fsum(xs) * fsum(ys)),))))
     _check_conflict(k)
     theta_mass = t_a * t_b
     survived = fsum(chain(totals, (theta_mass,)))

@@ -166,9 +166,9 @@ def decide(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> DecisionRe
         ) from err
 
     fused = outcome.combined
-    # singleton_masses is in frame order
-    hypotheses = matrix.frame.hypotheses
-    ranking = tuple(hypotheses[j] for j in best_first(list(fused.singleton_masses().values())))
+    # a frame of two or more hypotheses, so the fused BPA has a vector; its
+    # singleton masses are in frame order
+    ranking = tuple(map(matrix.frame.hypotheses.__getitem__, best_first(fused._vector[0])))
     return DecisionReport(
         frame=matrix.frame,
         sources=matrix.sources,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import cache
 from operator import neg
 
 from ._frozen import Frozen, set_field
@@ -191,6 +192,13 @@ class ReferenceBounds(Frozen):
         return cls(alpha)
 
 
+@cache
+def _default_refs() -> ReferenceBounds:
+    """ReferenceBounds(DEFAULT_ALPHA), built on first use and shared, as it is
+    immutable; not at import, which would solve OWA weights."""
+    return ReferenceBounds.from_alpha(DEFAULT_ALPHA)
+
+
 class ZScore(Frozen):
     """Component scores and the resulting deviation/similarity of a Z-number.
 
@@ -216,7 +224,7 @@ def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, flo
     unpacked once.
     """
     if refs is None:
-        refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
+        refs = _default_refs()
     s0, s1, s2, w1, w2, hmax, den = refs._scoring
     h_a = _h(z.A, s0, s1, s2)
     h_b = _h(z.B, s0, s1, s2)
@@ -236,7 +244,7 @@ def score_znumber(z: ZNumber, refs: ReferenceBounds | None = None) -> ZScore:
 
     Deviation is the component-weighted root mean square distance of
     (H(A), H(B)) from the ideal point, scaled so the anti-ideal scores
-    exactly 1.  refs defaults to ReferenceBounds.from_alpha(DEFAULT_ALPHA).
+    exactly 1.  refs defaults to one shared ReferenceBounds(DEFAULT_ALPHA).
     """
     h_a, h_b, dev, clamped = _scored(z, refs)
     return ZScore(hA=h_a, hB=h_b, deviation=dev, similarity=1.0 - dev, clamped=clamped)
@@ -252,7 +260,6 @@ def rank_znumbers(
 ) -> list[tuple[int, float]]:
     """(index, similarity) pairs ordered best first; ties keep input order."""
     if refs is None:
-        # once per call, not once per Z-number
-        refs = ReferenceBounds.from_alpha(DEFAULT_ALPHA)
+        refs = _default_refs()
     sims = [similarity(z, refs) for z in znumbers]
     return [(i, sims[i]) for i in best_first(sims)]

@@ -2,10 +2,14 @@
 
 import base64
 import copy
+import functools
 import math
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -294,19 +298,37 @@ class TestRankZnumbers:
         ranked = rank_znumbers([ZNumber(a, term("Low")), ZNumber(a, term("Very-high"))])
         assert [i for i, _ in ranked] == [1, 0]
 
-    def test_default_refs_are_built_once_per_call(self, monkeypatch):
+    def test_default_refs_are_built_once_per_process(self, monkeypatch):
         rng = random.Random(290)
 
         def shape():
             return TrapezoidalFuzzyNumber(*sorted(rng.random() for _ in range(4)), rng.uniform(0.5, 1.0))
 
         znumbers = [ZNumber(shape(), shape()) for _ in range(1000)]
-        expected = rank_znumbers(znumbers, ReferenceBounds.from_alpha(0.7))
+        refs = ReferenceBounds(0.7)
+        sims = [similarity(z, refs).hex() for z in znumbers]
+        ranked = [(i, s.hex()) for i, s in rank_znumbers(znumbers, refs)]
         built = []
-        make = ReferenceBounds.from_alpha
-        monkeypatch.setattr(ReferenceBounds, "from_alpha", lambda *args: built.append(args) or make(*args))
-        assert rank_znumbers(znumbers) == expected
+        init = ReferenceBounds.__init__
+        monkeypatch.setattr(ReferenceBounds, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        # as in a fresh process, where no call has asked for the default yet
+        monkeypatch.setattr(zmodel, "_default_refs", functools.cache(zmodel._default_refs.__wrapped__))
+        assert [similarity(z).hex() for z in znumbers] == sims
+        for _ in range(2):
+            assert [(i, s.hex()) for i, s in rank_znumbers(znumbers)] == ranked
+        assert score_znumber(znumbers[0]) == score_znumber(znumbers[0], refs)
         assert len(built) == 1
+
+    def test_importing_builds_no_default_refs(self):
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(zmodel.__file__).resolve().parents[1])!r})\n"
+            "import zfuse, zfuse.cli\n"
+            "print(zfuse.zmodel._default_refs.cache_info().currsize, zfuse.owa.mem_weights.cache_info().currsize)\n"
+        )
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
 
 def scoring_cases(rng):

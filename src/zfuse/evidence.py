@@ -133,15 +133,19 @@ class MassFunction(Frozen):
 
     def singleton_masses(self) -> dict[str, float]:
         """Mass of each hypothesis on its own, zero where not focal."""
+        return dict(zip(self.frame.hypotheses, self._singles()))
+
+    def _singles(self) -> list[float]:
+        """singleton_masses' values in frame order, not to be changed: the
+        vector's own list where there is one."""
         vector = self._vector
         if vector is not None:
-            singles = vector[0]
-        else:
-            singles = [0.0] * len(self.frame)
-            for mask, value in self.masses.items():
-                if mask.bit_count() == 1:
-                    singles[mask.bit_length() - 1] = value
-        return dict(zip(self.frame.hypotheses, singles))
+            return vector[0]
+        singles = [0.0] * len(self.frame)
+        for mask, value in self.masses.items():
+            if mask.bit_count() == 1:
+                singles[mask.bit_length() - 1] = value
+        return singles
 
     def focal_items(self) -> list[tuple[tuple[str, ...], float]]:
         """(labels, mass) pairs in deterministic bitmask order."""

@@ -166,9 +166,8 @@ def decide(matrix: AssessmentMatrix, alpha: float = DEFAULT_ALPHA) -> DecisionRe
         ) from err
 
     fused = outcome.combined
-    # a frame of two or more hypotheses, so the fused BPA has a vector; its
-    # singleton masses are in frame order
-    ranking = tuple(map(matrix.frame.hypotheses.__getitem__, best_first(fused._vector[0])))
+    # the singleton masses in frame order, without building their dict
+    ranking = tuple(map(matrix.frame.hypotheses.__getitem__, best_first(fused._singles())))
     return DecisionReport(
         frame=matrix.frame,
         sources=matrix.sources,

@@ -6,7 +6,8 @@ to stdout as JSON or as a table read off it; identical input and options
 give byte-identical output.  Exit codes:
 0 ok, 1 stdout was closed before the report was written, 2 unreadable or
 malformed input, 3 a validated invariant was broken, 4 total conflict
-between sources.
+between sources: no product mass, or only a subnormal amount, survives
+Dempster's rule.
 """
 
 from __future__ import annotations
@@ -450,11 +451,12 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
 
 
 def _split_items(doc, name: str) -> tuple[list, float | None]:
-    if isinstance(doc, list):
-        return doc, None
-    if isinstance(doc, dict) and isinstance(doc.get("items"), list):
-        return doc["items"], _file_alpha(doc, name)
-    raise InputError(f'{name}: expected a list of items or an object with "items"')
+    items = doc.get("items") if isinstance(doc, dict) else doc
+    if not isinstance(items, list):
+        raise InputError(f'{name}: expected a list of items or an object with "items"')
+    if not items:
+        raise InputError(f"{name}: nothing to rank")
+    return items, _file_alpha(doc, name) if isinstance(doc, dict) else None
 
 
 # ------------------------------------------------------ reports and tables

@@ -18,6 +18,7 @@ built by _unchecked, without the checks.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
@@ -25,8 +26,6 @@ from itertools import chain, compress, repeat
 from operator import mul, truediv
 
 from ._frozen import Frozen, set_field
-
-_TOTAL_CONFLICT_EPS = 1e-12
 
 
 class TotalConflictError(ValueError):
@@ -262,12 +261,15 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
-    """Dempster's rule: intersect focal sets, renormalize by 1 - k.
+    """Dempster's rule: intersect focal sets, renormalize by the surviving mass.
 
-    Sums go through fsum, and the normalizer is the surviving product mass
-    (identically 1 - k, but stable when k creeps toward 1), so the result
-    does not depend on focal-set iteration order.  Raises
-    TotalConflictError when k reaches 1 and nothing survives.
+    Sums go through fsum, so the result does not depend on focal-set
+    iteration order.  The normalizer is the sum of the surviving products:
+    1 - k in exact arithmetic, but accurate however close k comes to 1.  So
+    the rule decides wherever it is defined, and raises TotalConflictError
+    only when the surviving mass is 0.0 or subnormal (below
+    sys.float_info.min), where the quotients would lose precision.  No total
+    exceeds the surviving mass, so no quotient is inf or NaN.
 
     When both operands carry a frame-order vector, as every BPA from
     bpa_from_similarities and every step on them does, a closed form costs
@@ -297,9 +299,10 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
         for s2, v2 in right:
             buckets[s1 & s2].append(v1 * v2)
     k = math.fsum(buckets.pop(0, ()))
-    _check_conflict(k)
     totals = list(map(math.fsum, buckets.values()))
     survived = math.fsum(totals)
+    if not survived >= sys.float_info.min:
+        raise TotalConflictError(f"total conflict (k = {k}) between the two mass functions", left=0, right=1)
     combined = dict(zip(buckets, map(truediv, totals, repeat(survived))))
     # the operands' masks are in the frame, so each nonempty intersection
     # is too; each total is at most survived, so every mass is a float in
@@ -329,20 +332,14 @@ def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcom
     # fsum(-v) is -fsum(v) bit for bit, as fsum rounds correctly; k can come
     # out a hair below zero, or as -0.0, which max turns into +0.0
     k = max(0.0, -fsum(chain(xy, (-(fsum(xs) * fsum(ys)),))))
-    _check_conflict(k)
     theta_mass = t_a * t_b
     survived = fsum(chain(totals, (theta_mass,)))
+    if not survived >= sys.float_info.min:
+        raise TotalConflictError(f"total conflict (k = {k}) between the two mass functions", left=0, right=1)
     singles = list(map(truediv, totals, repeat(survived)))
     # each total, like theta_mass, is at most survived: every mass is a
     # float in [0, 1], and the masses sum to 1 within a few ulps
     return CombinationOutcome(_unchecked(m1.frame, "_vector", (singles, theta_mass / survived)), k, (k,))
-
-
-def _check_conflict(k: float) -> None:
-    if k >= 1.0 - _TOTAL_CONFLICT_EPS:
-        raise TotalConflictError(
-            f"total conflict (k = {k}) between the two mass functions", left=0, right=1
-        )
 
 
 def combine_all(masses: Sequence[MassFunction]) -> CombinationOutcome:

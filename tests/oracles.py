@@ -4,8 +4,9 @@ builds the paper's whole decision from them.
 Each oracle computes a layer's result another way than the library does:
 plain_weights by the bisection that builds the weights at every step,
 quadrature_centroid by exact quadrature of the membership function,
-vertex_std by the textbook standard deviation, and reference_combine by
-Dempster's rule over frozensets.  reference_score scores a Z-number as
+vertex_std by the textbook standard deviation, reference_combine by
+Dempster's rule over frozensets, and exact_fold by Dempster's rule in exact
+rational arithmetic.  reference_score scores a Z-number as
 zmodel did before its kernel took constants unpacked once per alpha.
 """
 
@@ -96,6 +97,32 @@ def combine_sets(lhs, rhs):
             else:
                 conflict += v1 * v2
     return {s: v / (1.0 - conflict) for s, v in combined.items()}, conflict
+
+
+def exact_fold(masses):
+    """combine_all(masses) in exact rational arithmetic.
+
+    The float masses are read as Fractions, and each step is normalised by
+    its exact surviving total, not by 1 - k: float BPAs sum to 1 only within
+    a few ulps, and dividing by 1 - k would scale that error by 1 / (1 - k)
+    at every step.  Returns the fused masses keyed by mask, and the exact
+    conflict of each step.
+    """
+    fused = {mask: Fraction(v) for mask, v in masses[0].masses.items()}
+    steps = []
+    for m in masses[1:]:
+        right = [(mask, Fraction(v)) for mask, v in m.masses.items()]
+        combined, conflict = {}, Fraction(0)
+        for s1, v1 in fused.items():
+            for s2, v2 in right:
+                if s1 & s2:
+                    combined[s1 & s2] = combined.get(s1 & s2, 0) + v1 * v2
+                else:
+                    conflict += v1 * v2
+        survived = sum(combined.values())
+        fused = {mask: v / survived for mask, v in combined.items()}
+        steps.append(conflict)
+    return fused, steps
 
 
 def reference_weights(n, alpha):

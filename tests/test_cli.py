@@ -1370,7 +1370,46 @@ class TestFailureModes:
         code, out, err = run(capsys, "decide", "--input", str(path))
         assert code == EXIT_CONFLICT
         assert out == ""
-        assert "totally conflict" in err
+        assert err == (
+            "zfuse: assessments of 'pessimist' totally conflict with those of 'optimist'"
+            " (folded together with any earlier sources)\n"
+        )
+
+    def test_near_total_conflict_decides(self, tmp_path, capsys):
+        # b's A = (0, 0, 0, 1e-13; 1) scores a similarity of about 1.35e-14:
+        # k is 1 - 2.7e-14, and the surviving mass is far above subnormal
+        sure = {"A": "Absolutely-high", "B": "Absolutely-high"}
+        faint = {"A": [0, 0, 0, 1e-13, 1], "B": "Absolutely-low"}
+        none = {"A": "Absolutely-low", "B": "Absolutely-low"}
+        doc = {
+            "frame": ["a", "b", "c"],
+            "sources": [
+                {"name": "S1", "assessments": {"a": sure, "b": faint, "c": none}},
+                {"name": "S2", "assessments": {"a": faint, "b": sure, "c": none}},
+            ],
+        }
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "decide", "--input", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.endswith(
+            "fused   0.5000  0.5000  0.0000  0.0000\n\n"
+            "conflict trace: 1.0000\n"
+            "ranking: a > b > c\n"
+            "decision: a\n"
+        )
+        code, out, err = run(capsys, "decide", "--input", str(path), "--format", "json")
+        report = finite_json(out)
+        assert report["conflict_trace"] == [0.9999999999999729]
+        assert report["fused"] == [{"focal": ["a"], "mass": 0.5}, {"focal": ["b"], "mass": 0.5}]
+        assert report["decision"] == "a"
+
+    @pytest.mark.parametrize("mode", ["rank-fuzzy", "rank-z"])
+    @pytest.mark.parametrize("doc", [[], {"items": []}, {"items": [], "alpha": 2}], ids=["list", "items", "bad-alpha"])
+    def test_nothing_to_rank_names_the_file(self, tmp_path, capsys, mode, doc):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, mode, "--input", str(path)) == (EXIT_PARSE, "", "zfuse: empty.json: nothing to rank\n")
 
     @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "1e999"])
     def test_non_finite_vertex(self, tmp_path, capsys, bad):
@@ -1631,6 +1670,8 @@ shapes = st.sampled_from(
         [1e200, 1e200, 1e200, 1e200, 1.0],
         [-1e200, -1e200, -1e200, -1e200, 0.3],
         [0.0, 1e-300, 2e-300, 1e-200, 1.0],
+        # scores a similarity of about 1e-14: rows conflict all but totally
+        [0.0, 0.0, 0.0, 1e-13, 1.0],
     ]
 )
 # unsorted, non-finite, out of range or not numbers at all

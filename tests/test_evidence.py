@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from zfuse.evidence import (
 from zfuse.pipeline import AssessmentMatrix, decide, source_bpas
 from zfuse.zmodel import LEXICON, ZNumber
 
-from oracles import reference_combine
+from oracles import exact_fold, reference_combine
 from test_pipeline import labelled, numeric_rows
 
 ABC = Frame(("A", "B", "C"))
@@ -296,6 +297,157 @@ class TestCombineAll:
             combine_all([m1, m2, m3])
         assert err.value.left == 1
         assert err.value.right == 2
+
+
+def near_conflict_row(rng, size, peak, tiny):
+    """Similarities with hypothesis peak at or just below 1 and every other
+    one within a factor of 2 of tiny: rows peaked on different hypotheses
+    conflict all but totally, and no product of two masses underflows."""
+    row = [tiny * (0.5 + 0.5 * rng.random()) for _ in range(size)]
+    # half the rows keep a residual of about tiny for the frame
+    row[peak] = 1.0 - (tiny * rng.random() if rng.random() < 0.5 else 0.0)
+    return row
+
+
+def near_conflict_mass(rng, frame, core, tiny):
+    """A dict-built mass function with all but a few tiny masses on core,
+    the tiny ones on up to six random focal sets, the frame among them."""
+    masks = {rng.getrandbits(len(frame)) or frame.theta for _ in range(rng.randint(0, 5))} | {frame.theta}
+    masks.discard(core)
+    masses = {mask: tiny * (0.5 + 0.5 * rng.random()) for mask in masks}
+    masses[core] = 1.0 - math.fsum(masses.values())
+    return MassFunction(frame, masses)
+
+
+def tiny_scale(rng, top):
+    """Log-uniform from top down to top * 1e-3 for half the calls, where a
+    step's surviving mass is about 1e-12 to 1e-16 and k lies just below 1,
+    and down to top * 1e-137 for the other half, where k reads 1.0 or a
+    few ulps more, as the inputs sum to 1 only within a few ulps."""
+    return top * 10.0 ** -rng.uniform(0.0, 3.0 if rng.random() < 0.5 else 137.0)
+
+
+def assert_exact(outcome, masses):
+    """Every fused mass and every step's k of outcome, combine_all(masses),
+    lies within 1e-13, relative, of the exact rational fold."""
+    want, steps = exact_fold(masses)
+    have = outcome.combined.masses
+    assert set(have) == set(want)
+    for mask, value in want.items():
+        assert abs(Fraction(have[mask]) - value) <= value * Fraction(1, 10**13)
+    assert len(outcome.steps) == len(steps)
+    for k, value in zip(outcome.steps, steps):
+        assert abs(Fraction(k) - value) <= value * Fraction(1, 10**13)
+
+
+class TestNearTotalConflict:
+    """Dempster's rule decides wherever a normal amount of mass survives,
+    however close k comes to 1, and raises only where it does not."""
+
+    def test_nearly_disjoint_similarities_decide(self):
+        m1 = bpa_from_similarities(ABC, [1.0, 1e-13, 0.0])
+        m2 = bpa_from_similarities(ABC, [1e-13, 1.0, 0.0])
+        for pair in ((m1, m2), (MassFunction(ABC, m1.masses), MassFunction(ABC, m2.masses))):
+            out = dempster_combine(*pair)
+            assert 1.0 - 1e-12 <= out.conflict < 1.0
+            assert out.combined.masses == {ABC.subset("A"): 0.5, ABC.subset("B"): 0.5}
+
+    @pytest.mark.parametrize("general", [False, True], ids=["vector", "dict"])
+    @pytest.mark.parametrize(
+        "overlap, decides",
+        [
+            (sys.float_info.min / 2, True),
+            (math.nextafter(sys.float_info.min / 2, 0.0), False),
+            (1e-310, False),
+            (5e-324, False),
+        ],
+        ids=["half-min", "below-half-min", "1e-310", "5e-324"],
+    )
+    def test_raises_only_below_the_smallest_normal_surviving_mass(self, general, overlap, decides):
+        # each operand's overlap times the other's 1.0 survives: the sum is
+        # the smallest normal float for the first case, subnormal after
+        masses = [bpa_from_similarities(ABC, [1.0, overlap, 0.0]), bpa_from_similarities(ABC, [overlap, 1.0, 0.0])]
+        if general:
+            masses = [MassFunction(ABC, m.masses) for m in masses]
+        if decides:
+            out = dempster_combine(*masses)
+            assert out.combined.masses == {ABC.subset("A"): 0.5, ABC.subset("B"): 0.5}
+            return
+        with pytest.raises(TotalConflictError, match=r"^total conflict \(k = 1\.0\) between") as err:
+            dempster_combine(*masses)
+        assert (err.value.left, err.value.right) == (0, 1)
+        with pytest.raises(TotalConflictError, match="input 1 into the fold of inputs 0..0"):
+            combine_all(masses)
+
+    def test_the_smallest_masses_give_no_inf_or_nan(self):
+        rng = random.Random(3101)
+        pool = [5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-13, 0.0, 1.0]
+        decided = raised = 0
+        for _ in range(400):
+            frame = Frame(tuple(f"h{i}" for i in range(rng.randint(2, 6))))
+            rows = [[rng.choice(pool + [rng.random()]) for _ in frame.hypotheses] for _ in range(2)]
+            masses = [bpa_from_similarities(frame, row) for row in rows]
+            for pair in (masses, [MassFunction(frame, m.masses) for m in masses]):
+                try:
+                    out = dempster_combine(*pair)
+                except TotalConflictError:
+                    raised += 1
+                    continue
+                decided += 1
+                assert 0.0 <= out.conflict <= 1.0 + 1e-15
+                values = list(out.combined.masses.values())
+                assert all(0.0 < v <= 1.0 for v in values)
+                assert abs(math.fsum(values) - 1.0) <= 1e-12
+        assert decided > 500 and raised > 0
+
+    def test_vector_pairs_match_the_exact_rule(self):
+        rng = random.Random(3102)
+        below_one = 0
+        for _ in range(150):
+            size = rng.randint(2, 20)
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            i, j = rng.sample(range(size), 2)
+            masses = [
+                bpa_from_similarities(frame, near_conflict_row(rng, size, peak, tiny_scale(rng, 2e-13)))
+                for peak in (i, j)
+            ]
+            for pair in (masses, [MassFunction(frame, m.masses) for m in masses]):
+                out = combine_all(pair)
+                assert 1.0 - 1e-12 <= out.conflict <= 1.0 + 1e-15
+                assert_exact(out, pair)
+            below_one += out.conflict < 1.0
+        assert 30 < below_one < 120
+
+    def test_dict_built_pairs_match_the_exact_rule(self):
+        rng = random.Random(3103)
+        for _ in range(200):
+            size = rng.randint(2, 12)
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            order = rng.sample(range(size), size)
+            cut = rng.randint(1, size - 1)
+            cores = [sum(1 << h for h in part) for part in (order[:cut], order[cut:])]
+            tiny = tiny_scale(rng, 5e-14)
+            pair = [near_conflict_mass(rng, frame, core, tiny) for core in cores]
+            out = combine_all(pair)
+            assert 1.0 - 1e-12 <= out.conflict <= 1.0 + 1e-15
+            assert_exact(out, pair)
+
+    def test_folds_match_the_exact_rule(self):
+        # each source peaks on a hypothesis of its own, so every step of
+        # the fold conflicts all but totally with the fold before it
+        rng = random.Random(3104)
+        for _ in range(20):
+            size = rng.randint(4, 20)
+            frame = Frame(tuple(f"h{i}" for i in range(size)))
+            tiny = tiny_scale(rng, 1e-13)
+            masses = [
+                bpa_from_similarities(frame, near_conflict_row(rng, size, peak, tiny))
+                for peak in rng.sample(range(size), rng.randint(3, 4))
+            ]
+            for fold in (masses, [MassFunction(frame, m.masses) for m in masses]):
+                out = combine_all(fold)
+                assert all(1.0 - 1e-12 <= k <= 1.0 + 1e-15 for k in out.steps)
+                assert_exact(out, fold)
 
 
 def singleton_bpa(rng, frame, peaked):
@@ -826,9 +978,11 @@ def setdefault_combine(m1, m2):
             else:
                 conflict_parts.append(product)
     k = math.fsum(conflict_parts)
-    evidence._check_conflict(k)
     totals = {mask: math.fsum(parts) for mask, parts in buckets.items()}
     survived = math.fsum(totals.values())
+    # the rule is defined while a normal amount of mass survives
+    if survived < sys.float_info.min:
+        raise TotalConflictError(f"total conflict (k = {k}) between the two mass functions", left=0, right=1)
     combined = {mask: value / survived for mask, value in totals.items()}
     return CombinationOutcome(MassFunction(m1.frame, combined), k, (k,))
 

@@ -11,6 +11,7 @@ differ), so the digests hold across versions.
 import hashlib
 import math
 import random
+import sys
 from itertools import chain
 from operator import mul, neg
 
@@ -120,6 +121,14 @@ def old_conflict(xs, ys):
     return max(0.0, fsum(chain(map(neg, xy), (fsum(xs) * fsum(ys),))))
 
 
+def surviving_mass(left, right):
+    """The closed-form step's normaliser: each hypothesis' three surviving
+    products, summed per hypothesis, then with the frame's product."""
+    (xs, t_a), (ys, t_b) = left, right
+    totals = [math.fsum((x * y, x * t_b, t_a * y)) for x, y in zip(xs, ys)]
+    return math.fsum(totals + [t_a * t_b])
+
+
 def vector(frame, singles, theta_mass):
     return evidence._unchecked(frame, "_vector", (singles, theta_mass))
 
@@ -159,7 +168,8 @@ class TestConflictExpression:
         try:
             got = evidence._combine_singletons(vector(frame, *left), vector(frame, *right)).conflict
         except TotalConflictError:
-            assert want >= 1.0 - evidence._TOTAL_CONFLICT_EPS
+            # raised only when less than the smallest normal float survives
+            assert surviving_mass(left, right) < sys.float_info.min
             return None
         assert got.hex() == want.hex()
         return got

@@ -217,7 +217,7 @@ class CombinationOutcome(Frozen):
     """A combined mass function plus the conflict seen along the way.
 
     conflict is the k of the final pairwise step; steps holds one k per
-    fold step when several functions were combined.
+    fold step when several functions were combined.  Each k lies in [0, 1].
     """
 
     __match_args__ = ("combined", "conflict", "steps")
@@ -276,7 +276,9 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
     O(H) instead of O(F1 * F2) and gives the same masses.  A mass function
     built from a dict takes the general rule, whatever its focal sets.
     """
-    if m1.frame != m2.frame:
+    # a fold passes one frame object to every step: identity first skips
+    # the Python-level __eq__
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise ValueError("cannot combine mass functions over different frames")
     # total ignorance is the neutral element; skip the arithmetic so the
     # other operand comes back untouched
@@ -299,6 +301,9 @@ def _combine_general(m1: MassFunction, m2: MassFunction) -> CombinationOutcome:
         for s2, v2 in right:
             buckets[s1 & s2].append(v1 * v2)
     k = math.fsum(buckets.pop(0, ()))
+    # masses sum to 1 only within a few ulps, so k can read a hair above 1
+    if k > 1.0:
+        k = 1.0
     totals = list(map(math.fsum, buckets.values()))
     survived = math.fsum(totals)
     if not survived >= sys.float_info.min:
@@ -330,8 +335,11 @@ def _combine_singletons(m1: MassFunction, m2: MassFunction) -> CombinationOutcom
     xy = list(map(mul, xs, ys))
     totals = list(map(fsum, zip(xy, map(mul, xs, repeat(t_b)), map(mul, repeat(t_a), ys))))
     # fsum(-v) is -fsum(v) bit for bit, as fsum rounds correctly; k can come
-    # out a hair below zero, or as -0.0, which max turns into +0.0
+    # out a hair below zero, or as -0.0, which max turns into +0.0, or a
+    # hair above 1, as the masses sum to 1 only within a few ulps
     k = max(0.0, -fsum(chain(xy, (-(fsum(xs) * fsum(ys)),))))
+    if k > 1.0:
+        k = 1.0
     theta_mass = t_a * t_b
     survived = fsum(chain(totals, (theta_mass,)))
     if not survived >= sys.float_info.min:

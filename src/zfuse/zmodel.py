@@ -91,19 +91,28 @@ def ranking_score(f: TrapezoidalFuzzyNumber, weights: Sequence[float] | None = N
     return _h(f, w0, w1, w2)
 
 
-# read as one global per shape, not a global and an attribute
+# read as one global per shape or cell, not a global and an attribute
 _hypot = math.hypot
+_sqrt = math.sqrt
 
 
 def _h(f: TrapezoidalFuzzyNumber, w0: float, w1: float, w2: float) -> float:
     # H itself, for ranking_score and _scored, which check and unpack the
     # weights; both factors are written out here, term for term as in fuzzy,
-    # so scoring a shape takes one Python frame instead of three
-    a, b, c, d = f.a, f.b, f.c, f.d
-    # centroid(f)
-    ha, hb, hc, hd = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d
-    rise = hb - ha
-    fall = hd - hc
+    # so scoring a shape takes one Python frame instead of three.
+    # fuzzy.centroid and fuzzy.spread stay as written there: they are the
+    # reference the tests hold this kernel to, and are off the hot path.
+    # One statement per name: a multiple assignment builds and unpacks a
+    # tuple on every CPython from 3.10 to 3.13
+    a = f.a
+    b = f.b
+    c = f.c
+    d = f.d
+    # centroid(f); the halves of a and d are each used once, so inline
+    hb = 0.5 * b
+    hc = 0.5 * c
+    rise = hb - 0.5 * a
+    fall = 0.5 * d - hc
     left = 0.5 * rise
     plateau = hc - hb
     right = 0.5 * fall
@@ -233,7 +242,7 @@ def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, flo
     d_a = h_a - hmax
     d_b = h_b - hmax
     num = w1 * d_a * d_a + w2 * d_b * d_b
-    dev = math.sqrt(num / den)
+    dev = _sqrt(num / den)
     if dev > 1.0:
         return h_a, h_b, 1.0, True
     return h_a, h_b, dev, False

@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import dis
 import functools
 import math
 import pickle
@@ -484,6 +485,14 @@ class TestScoringKernel:
             calls.clear()
             assert ranking_score(z.A, weights).hex() == kernel(z.A, *weights).hex()
             assert calls == [(z.A, weights.weights)]
+
+    def test_the_kernel_builds_no_tuples(self):
+        # a multiple assignment such as a, b, c, d = f.a, f.b, f.c, f.d
+        # compiles to BUILD_TUPLE and UNPACK_SEQUENCE on CPython 3.10-3.13:
+        # two throwaway tuples per shape scored
+        ops = [i.opname for i in dis.get_instructions(zmodel._h)]
+        found = sorted({"BUILD_TUPLE", "UNPACK_SEQUENCE"}.intersection(ops))
+        assert not found, f"zmodel._h compiles to {found}; see README, Complexity, for why it assigns one name a statement"
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_refs_alone_fix_both_weight_vectors(self, alpha):

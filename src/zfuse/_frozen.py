@@ -3,7 +3,7 @@
 Each public type is a plain class that lists its fields, its constructor's
 arguments, in __match_args__ and writes its own __init__, which checks them
 and stores them with set_field.  A type may keep attributes derived from
-them too, as ReferenceBounds, MassFunction and Frame do; those are not
+them too, as ReferenceBounds and MassFunction do; those are not
 fields.  Frozen reads that tuple to compare, hash and print instances
 field by field, in the layout a frozen dataclass has, without importing
 dataclasses (which costs more than the rest of zfuse to import).
@@ -41,8 +41,7 @@ class Frozen:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # a Dempster fold compares one frame with itself at every step
-        return self is other or self._key(self) == self._key(other)
+        return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
         return hash(self._key(self))

@@ -358,6 +358,15 @@ def _parse_cell(value, where: tuple) -> ZNumber:
     return ZNumber(_parse_shape(value["A"], where, ".A"), _parse_shape(value["B"], where, ".B"))
 
 
+def _grid_part(name: str, build, *args):
+    """build(*args), a Frame or an AssessmentMatrix; a ValueError it raises
+    is raised again with the file name in front."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
 def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     if not isinstance(doc, dict):
         raise InputError(f"{name}: expected a top-level object")
@@ -371,7 +380,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
         raise InputError(f'{name}: "sources" must be a non-empty list')
     alpha = _file_alpha(doc, name)
 
-    frame = Frame(tuple(frame_labels))
+    frame = _grid_part(name, Frame, tuple(frame_labels))
     labels: list[str] = []
     rows: list[tuple[ZNumber, ...]] = []
     for k, entry in enumerate(sources):
@@ -391,8 +400,7 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
             row.append(_parse_cell(cells[h], ("{}/{}", label, h)))
         labels.append(label)
         rows.append(tuple(row))
-    matrix = AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(rows))
-    return matrix, alpha
+    return _grid_part(name, AssessmentMatrix, frame, tuple(labels), tuple(rows)), alpha
 
 
 def _load_csv_matrix(path: str) -> AssessmentMatrix:
@@ -424,7 +432,7 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
         raise InputError(f"{name}: header must name a source column and the hypotheses")
     for j, h in enumerate(header[1:], start=2):
         _label(h, f"{name}: header column {j}")
-    frame = Frame(tuple(header[1:]))
+    frame = _grid_part(name, Frame, tuple(header[1:]))
     data = rows[1:]
     if not data or len(data) % 2 != 0:
         raise InputError(f"{name}: expected two rows (A then B) per source")
@@ -447,7 +455,7 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
             cells.append(ZNumber(shape_a, shape_b))
         labels.append(source)
         grid.append(tuple(cells))
-    return AssessmentMatrix(frame=frame, sources=tuple(labels), cells=tuple(grid))
+    return _grid_part(name, AssessmentMatrix, frame, tuple(labels), tuple(grid))
 
 
 def _split_items(doc, name: str) -> tuple[list, float | None]:

@@ -22,7 +22,7 @@ import sys
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import mul, truediv
 
 from ._frozen import Frozen, set_field
@@ -61,11 +61,6 @@ class Frame(Frozen):
     def theta(self) -> int:
         """Bitmask of the whole frame."""
         return (1 << len(self.hypotheses)) - 1
-
-    @cached_property
-    def singletons(self) -> tuple[int, ...]:
-        """The singleton masks 1 << i in frame order, made once per frame."""
-        return tuple(map((1).__lshift__, range(len(self.hypotheses))))
 
     def index(self, label: str) -> int:
         try:
@@ -178,24 +173,18 @@ def _unchecked(frame: Frame, name: str, value: object) -> MassFunction:
 
 
 def _vector_masses(frame: Frame, singles: list[float], theta_mass: float) -> dict[int, float]:
-    """The masses dict of a frame-order vector, zeros left out, keyed by the
-    frame's own masks."""
-    masses = dict(compress(zip(frame.singletons, singles), singles))
+    """The masses dict of a frame-order vector, zeros left out."""
+    masses = {1 << i: value for i, value in enumerate(singles) if value}
     if theta_mass:
         masses[frame.theta] = theta_mass
     return masses
 
 
-# the mask types of a valid dict, checked in one C scan; bool is an int too
-_INT_MASKS = frozenset((int, bool))
-
-
 def _cleaned(masses: Mapping[int, float], theta: int) -> dict[int, float]:
     """The masses as floats with zero entries dropped; raises if they are no BPA."""
-    if not _INT_MASKS.issuperset(map(type, masses)):
-        for mask in masses:
-            if isinstance(mask, float):
-                raise ValueError(f"focal set masks must be ints, got {mask!r}")
+    for mask in masses:
+        if isinstance(mask, float):
+            raise ValueError(f"focal set masks must be ints, got {mask!r}")
     cleaned: dict[int, float] = {}
     for mask, value in masses.items():
         value = float(value)

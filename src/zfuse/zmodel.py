@@ -268,7 +268,5 @@ def rank_znumbers(
     znumbers: Sequence[ZNumber], refs: ReferenceBounds | None = None
 ) -> list[tuple[int, float]]:
     """(index, similarity) pairs ordered best first; ties keep input order."""
-    if refs is None:
-        refs = _default_refs()
     sims = [similarity(z, refs) for z in znumbers]
     return [(i, sims[i]) for i in best_first(sims)]

@@ -1476,7 +1476,7 @@ class TestFailureModes:
     def test_duplicate_hypothesis_labels(self, tmp_path, capsys, name, text):
         path = tmp_path / name
         path.write_text(text)
-        expected = (EXIT_INVALID, "", "zfuse: hypothesis labels must be distinct, got 'H1' twice\n")
+        expected = (EXIT_INVALID, "", f"zfuse: {name}: hypothesis labels must be distinct, got 'H1' twice\n")
         assert run(capsys, "decide", "--input", str(path)) == expected
 
     def test_duplicate_source_names(self, tmp_path, capsys):
@@ -1484,10 +1484,26 @@ class TestFailureModes:
         doc["sources"].append(doc["sources"][0])
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "decide", "--input", str(path))
-        assert code == EXIT_INVALID
-        assert out == ""
-        assert "source names must be distinct, got 'S' twice" in err
+        expected = (EXIT_INVALID, "", "zfuse: doc.json: source names must be distinct, got 'S' twice\n")
+        assert run(capsys, "decide", "--input", str(path)) == expected
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("doc.json", json.dumps({"frame": [], "sources": grid()["sources"]}),
+             "a frame needs at least one hypothesis"),
+            ("doc.json",
+             json.dumps({"frame": ["a"], "sources": [{"name": "S", "assessments": {"a": {"A": "Low", "B": "High"}}}]}),
+             "a decision needs at least two hypotheses"),
+            ("doc.csv", "source,H1\nE1,Low\nE1,High\n", "a decision needs at least two hypotheses"),
+            ("doc.csv", "source,H1,H2\n" + "E1,Low,High\n" * 4, "source names must be distinct, got 'E1' twice"),
+        ],
+        ids=["json-empty-frame", "json-one-hypothesis", "csv-one-hypothesis", "csv-duplicate-source"],
+    )
+    def test_grid_errors_name_the_file(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(capsys, "decide", "--input", str(path)) == (EXIT_INVALID, "", f"zfuse: {name}: {message}\n")
 
     @pytest.mark.parametrize("mode", ["decide", "rank-z"])
     def test_alpha_without_centroid_weight(self, tmp_path, capsys, mode):

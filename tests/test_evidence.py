@@ -480,7 +480,8 @@ def singleton_bpa(rng, frame, peaked):
         masses[frame.theta] = rng.uniform(0.01, 1.0)
     total = math.fsum(masses.values())
     # in a one-hypothesis frame the singleton is the frame: its mass is the frame's
-    singles = [0.0 if mask == frame.theta else masses.get(mask, 0.0) / total for mask in frame.singletons]
+    masks = [1 << i for i in range(len(frame))]
+    singles = [0.0 if mask == frame.theta else masses.get(mask, 0.0) / total for mask in masks]
     return vector_bpa(frame, singles, masses[frame.theta] / total)
 
 
@@ -605,7 +606,8 @@ VALIDATION_ERRORS = (
 
 class TestValidationFastPath:
     """The constructor's one check of a masses dict, and the BPAs that the
-    library builds without it."""
+    library builds without it.  The check has no fast path of its own, only
+    plain loops; the name is kept so that the test ids stay stable."""
 
     def test_same_masses_or_same_error_as_the_loop(self):
         rng = random.Random(11)
@@ -827,11 +829,6 @@ class TestFrameOrderVectors:
             general = [general_mass(rng, frame) for _ in range(3)]
             for m in [*bpas, combine_all(bpas).combined, *general, combine_all(general).combined]:
                 assert m.singleton_masses() == hashed_singletons(m)
-
-    def test_frame_makes_its_masks_once(self):
-        frame = Frame(tuple(f"h{i}" for i in range(100)))
-        assert frame.singletons == tuple(1 << i for i in range(100))
-        assert frame.singletons is frame.singletons  # made once
 
 
 def eager_twin(m):

@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from zfuse.evidence import Frame, TotalConflictError, bpa_from_similarities
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.pipeline import AssessmentMatrix, decide, source_bpas, strip_reliability
 from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, linguistic_term, score_znumber, similarity
+
+from oracles import exact_fold
 
 DISEASES = ("Common-cold", "Meningitis", "Measles")
 EXPERTS = ("E1", "E2", "E3")
@@ -677,6 +680,25 @@ class TestMetamorphic:
             assert abs(after[h] - value) <= REVERSED_TOL, h
         assert abs(other.fused.theta_mass() - base.fused.theta_mass()) <= REVERSED_TOL
         assert other.decision == base.decision
+
+
+class TestExactFold:
+    """decide on 50 x 20 numeric grids at alpha 0.7, a quarter of the
+    many_sources benchmark's sources, against the exact rational fold of
+    the report's own per-source BPAs."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_fused_masses_and_decision_match_the_exact_fold(self, seed):
+        report = decide(labelled(numeric_rows(random.Random(seed), 50, 20)), 0.7)
+        want, _ = exact_fold(report.per_source_bpas)
+        have = report.fused.masses
+        assert set(have) == set(want)
+        for mask, value in want.items():
+            assert abs(Fraction(have[mask]) - value) <= value * Fraction(1, 10**13)
+        singles = sorted((want.get(1 << j, 0), j) for j in range(len(report.frame)))
+        (second, _), (top, best) = singles[-2:]
+        if top - second > Fraction(1, 10**12):
+            assert report.decision == report.frame.hypotheses[best]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

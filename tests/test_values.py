@@ -147,6 +147,7 @@ def test_equality(name):
     make, values, _ = CASES[name]
     x, y = make(), make()
     assert x is not y
+    assert x == x and not x != x
     assert x == y and not x != y
     # only an instance of the very same class compares equal
     assert x != values and not x == values

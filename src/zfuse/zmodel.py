@@ -97,9 +97,9 @@ _sqrt = math.sqrt
 
 
 def _h(f: TrapezoidalFuzzyNumber, w0: float, w1: float, w2: float) -> float:
-    # H itself, for ranking_score and _scored, which check and unpack the
-    # weights; both factors are written out here, term for term as in fuzzy,
-    # so scoring a shape takes one Python frame instead of three.
+    # H itself, for ranking_score, score_znumber and similarity, which check
+    # or unpack the weights; both factors are written out here, term for term
+    # as in fuzzy, so scoring a shape takes one Python frame instead of three.
     # fuzzy.centroid and fuzzy.spread stay as written there: they are the
     # reference the tests hold this kernel to, and are off the hot path.
     # One statement per name: a multiple assignment builds and unpacks a
@@ -161,7 +161,8 @@ class ReferenceBounds(Frozen):
     and length-2 OWA weights), hmax and hmin (the H scores of the ideal's
     and anti-ideal's components, which deviations are normalized against),
     and the private _scoring: the three score weights, the two component
-    weights, hmax and the deviation's normaliser, unpacked once for _scored.
+    weights, hmax and the deviation's normaliser, unpacked once for
+    score_znumber and similarity.
     """
 
     __match_args__ = ("alpha",)
@@ -178,7 +179,7 @@ class ReferenceBounds(Frozen):
                 "so the ideal and anti-ideal score alike and deviation is undefined"
             )
         w1, w2 = component_weights = mem_weights(2, alpha)
-        # products, not ** 2: see _scored
+        # products, not ** 2: see score_znumber
         d_ref = hmin - hmax
         set_field(self, "alpha", alpha)
         set_field(self, "hmax", hmax)
@@ -225,12 +226,13 @@ class ZScore(Frozen):
         set_field(self, "clamped", clamped)
 
 
-def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, float, bool]:
-    """hA, hB, the deviation cut back to 1, and whether it was cut.
+def score_znumber(z: ZNumber, refs: ReferenceBounds | None = None) -> ZScore:
+    """Deviation of z from the ideal and the complementary similarity.
 
-    The one scoring kernel behind score_znumber and similarity.  Both
-    component scores come from _h, A then B, fed the constants refs
-    unpacked once.
+    Deviation is the component-weighted root mean square distance of
+    (H(A), H(B)) from the ideal point, scaled so the anti-ideal scores
+    exactly 1.  refs defaults to one shared ReferenceBounds(DEFAULT_ALPHA).
+    H(A) then H(B) come from _h, fed the constants refs unpacked once.
     """
     if refs is None:
         refs = _default_refs()
@@ -241,27 +243,24 @@ def _scored(z: ZNumber, refs: ReferenceBounds | None) -> tuple[float, float, flo
     # and a zero weight times that gap stays 0
     d_a = h_a - hmax
     d_b = h_b - hmax
-    num = w1 * d_a * d_a + w2 * d_b * d_b
-    dev = _sqrt(num / den)
+    dev = _sqrt((w1 * d_a * d_a + w2 * d_b * d_b) / den)
     if dev > 1.0:
-        return h_a, h_b, 1.0, True
-    return h_a, h_b, dev, False
-
-
-def score_znumber(z: ZNumber, refs: ReferenceBounds | None = None) -> ZScore:
-    """Deviation of z from the ideal and the complementary similarity.
-
-    Deviation is the component-weighted root mean square distance of
-    (H(A), H(B)) from the ideal point, scaled so the anti-ideal scores
-    exactly 1.  refs defaults to one shared ReferenceBounds(DEFAULT_ALPHA).
-    """
-    h_a, h_b, dev, clamped = _scored(z, refs)
-    return ZScore(hA=h_a, hB=h_b, deviation=dev, similarity=1.0 - dev, clamped=clamped)
+        return ZScore(hA=h_a, hB=h_b, deviation=1.0, similarity=0.0, clamped=True)
+    return ZScore(hA=h_a, hB=h_b, deviation=dev, similarity=1.0 - dev)
 
 
 def similarity(z: ZNumber, refs: ReferenceBounds | None = None) -> float:
-    """score_znumber(...).similarity, without building the ZScore."""
-    return 1.0 - _scored(z, refs)[2]
+    """score_znumber(...).similarity, without building the ZScore: the same
+    deviation, written out again so that a cell takes this frame and two _h."""
+    if refs is None:
+        refs = _default_refs()
+    s0, s1, s2, w1, w2, hmax, den = refs._scoring
+    d_a = _h(z.A, s0, s1, s2) - hmax
+    d_b = _h(z.B, s0, s1, s2) - hmax
+    dev = _sqrt((w1 * d_a * d_a + w2 * d_b * d_b) / den)
+    if dev > 1.0:
+        return 0.0
+    return 1.0 - dev
 
 
 def rank_znumbers(

@@ -7,7 +7,8 @@ quadrature_centroid by exact quadrature of the membership function,
 vertex_std by the textbook standard deviation, reference_combine by
 Dempster's rule over frozensets, and exact_fold by Dempster's rule in exact
 rational arithmetic.  reference_score scores a Z-number as
-zmodel did before its kernel took constants unpacked once per alpha.
+zmodel did before its kernel took constants unpacked once per alpha, and
+cleaned_masses checks a masses dict rule by rule, as MassFunction should.
 """
 
 import math
@@ -69,6 +70,36 @@ def quadrature_centroid(f):
 def vertex_std(vertices):
     mean = sum(vertices) / 4.0
     return math.sqrt(sum((v - mean) ** 2 for v in vertices) / 3.0)
+
+
+def cleaned_masses(masses, theta):
+    """The masses dict MassFunction should keep over a frame of mask theta,
+    or the error it should raise, with the library's messages.
+
+    A float mask is named first, even at zero mass.  Then entry by entry:
+    NaN or a negative mass is rejected, a zero entry is dropped wherever it
+    sits, and a mass on the empty set or outside the frame is rejected.
+    The masses left must sum to 1 within 1e-12.
+    """
+    floats = [mask for mask in masses if isinstance(mask, float)]
+    if floats:
+        raise ValueError(f"focal set masks must be ints, got {floats[0]!r}")
+    kept = {}
+    for mask, value in masses.items():
+        value = float(value)
+        if math.isnan(value) or value < 0.0:
+            raise ValueError(f"masses must be nonnegative, got {value}")
+        if value == 0.0:
+            continue
+        if mask == 0:
+            raise ValueError("the empty set must carry no mass")
+        # 0 < mask first, so that a str mask raises the library's TypeError
+        if not 0 < mask or mask > theta:
+            raise ValueError(f"focal set {mask:#x} is outside the frame")
+        kept[mask] = value
+    if abs(math.fsum(kept.values()) - 1.0) > 1e-12:
+        raise ValueError("masses must sum to 1")
+    return kept
 
 
 def reference_combine(m1, m2):

@@ -25,7 +25,7 @@ from zfuse.evidence import (
 from zfuse.pipeline import AssessmentMatrix, decide, source_bpas
 from zfuse.zmodel import LEXICON, ZNumber
 
-from oracles import exact_fold, reference_combine
+from oracles import cleaned_masses, exact_fold, reference_combine
 from test_pipeline import labelled, numeric_rows
 
 ABC = Frame(("A", "B", "C"))
@@ -555,7 +555,9 @@ def validation_cases(rng):
     """Seeded mass dicts: valid BPAs, and BPAs with one entry spoiled.
 
     Spoilers are zeros, negatives, NaN, inf, ints, float subclasses, masks
-    outside the frame, the empty mask, and bool, float and str masks.
+    outside the frame, the empty mask, bool, float and str masks, zero
+    entries (valid wherever they sit, unless their mask is a float), and
+    masses nudged so they sum to 1 within 1e-12 or miss it by 1e-9.
     """
     yield 3, {}
     for _ in range(2000):
@@ -567,7 +569,7 @@ def validation_cases(rng):
         masses = {m: v / total for m, v in zip(masks, values)}
         for _ in range(rng.choice((0, 0, 1, 2))):
             mask = rng.choice(list(masses))
-            kind = rng.randrange(11)
+            kind = rng.randrange(13)
             if kind == 0:
                 masses[mask] = 0.0
             elif kind == 1:
@@ -588,6 +590,11 @@ def validation_cases(rng):
                 masses[float(mask)] = masses.pop(mask)
             elif kind == 9:
                 masses["h0"] = masses.pop(mask)
+            elif kind == 10:
+                zero = rng.choice((0, theta << 1, rng.randrange(1, theta + 1)))
+                masses.setdefault(rng.choice((zero, float(zero))), 0.0)
+            elif kind == 11:
+                masses[mask] += rng.choice((-1e-9, 1e-9, 1e-14))
             elif 1 not in masses:
                 masses[True] = masses.pop(mask)
         yield size, masses
@@ -615,7 +622,7 @@ class TestValidationFastPath:
         for size, masses in validation_cases(rng):
             frame = Frame(tuple(f"h{i}" for i in range(size)))
             try:
-                expected = evidence._cleaned(masses, frame.theta)
+                expected = cleaned_masses(masses, frame.theta)
             except (TypeError, ValueError) as err:
                 with pytest.raises(type(err)) as got:
                     MassFunction(frame, masses)
@@ -626,7 +633,7 @@ class TestValidationFastPath:
             assert not any(isinstance(mask, float) for mask in masses)
             got = MassFunction(frame, masses).masses
             assert got == expected == {mask: float(v) for mask, v in masses.items() if v}
-            assert list(got) == [mask for mask, v in masses.items() if v]
+            assert list(got) == list(expected) == [mask for mask, v in masses.items() if v]
             assert all(type(v) is float for v in got.values())
             assert got is not masses
             valid += 1

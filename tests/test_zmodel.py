@@ -494,6 +494,22 @@ class TestScoringKernel:
         found = sorted({"BUILD_TUPLE", "UNPACK_SEQUENCE"}.intersection(ops))
         assert not found, f"zmodel._h compiles to {found}; see README, Complexity, for why it assigns one name a statement"
 
+    def test_similarity_calls_no_helper_but_the_kernel(self):
+        # a cell takes similarity's frame and two _h frames; a shared helper
+        # for the deviation would add a frame per cell
+        names = {i.argval for i in dis.get_instructions(zmodel.similarity) if i.opname == "LOAD_GLOBAL"}
+        assert names == {"_default_refs", "_h", "_sqrt"}, (
+            f"zmodel.similarity loads {sorted(names)}; see README, Complexity, for why it scores a cell itself"
+        )
+
+    def test_the_default_refs_score_as_score_znumber(self):
+        clamped = 0
+        for z in scoring_cases(random.Random(5)):
+            score = score_znumber(z)
+            assert similarity(z).hex() == score.similarity.hex()
+            clamped += score.clamped
+        assert clamped > 0
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_refs_alone_fix_both_weight_vectors(self, alpha):
         # one ReferenceBounds carries the factor and the component weights

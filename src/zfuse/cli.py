@@ -22,7 +22,7 @@ from .evidence import Frame, MassFunction, TotalConflictError
 from .fuzzy import TrapezoidalFuzzyNumber
 from .owa import _MAX_N, DEFAULT_ALPHA, dispersion, mem_weights, orness
 from .pipeline import AssessmentMatrix, decide, source_bpas
-from .zmodel import LEXICON, ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
+from .zmodel import ReferenceBounds, ZNumber, best_first, linguistic_term, ranking_score, score_znumber
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -308,8 +308,6 @@ def _file_alpha(doc: dict, name: str) -> float | None:
     return None if alpha is None else _number(alpha, f'{name}: "alpha"')
 
 
-# Each exact lexicon name, to the term's shared shape object.
-_SHAPES = {term.name: term.shape for term in LEXICON}
 # The types a JSON number loads as; bool, which JSON true/false load as, is not one.
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -318,28 +316,23 @@ def _parse_shape(value, where: tuple, part: str = "") -> TrapezoidalFuzzyNumber:
     """value, a term name or [a, b, c, d, w], as a shape.
 
     where is a (template, *values) tuple that, with part appended, names the
-    value in an error message.  That text is built only for a value the fast
-    cases do not read, and a label among the values is printed as written,
+    value in an error message.  That text is built only for a value that
+    fails to read, and a label among the values is printed as written,
     braces and all.
     """
-    # the fast cases: an exact name is the term's shared shape, and five
-    # plain JSON numbers, found by one C scan of their types, need no _number
-    kind = type(value)
-    if kind is str:
-        shape = _SHAPES.get(value)
-        if shape is not None:
-            return shape
-    elif kind is list and len(value) == 5 and _NUMBER_TYPES.issuperset(map(type, value)):
+    if isinstance(value, str):
+        try:
+            return linguistic_term(value).shape
+        except ValueError as err:
+            raise InputError(f"{where[0].format(*where[1:])}{part}: {err}") from None
+    # the fast case: five plain JSON numbers, found by one C scan of their
+    # types, need no _number
+    if type(value) is list and len(value) == 5 and _NUMBER_TYPES.issuperset(map(type, value)):
         try:
             return TrapezoidalFuzzyNumber(*map(float, value))
         except (OverflowError, ValueError):
             pass  # an int past the float range, or a bad shape: named below
     place = where[0].format(*where[1:]) + part
-    if isinstance(value, str):
-        try:
-            return linguistic_term(value).shape
-        except ValueError as err:
-            raise InputError(f"{place}: {err}") from None
     if isinstance(value, list):
         if len(value) != 5:
             raise InputError(f"{place}: a numeric shape needs exactly [a, b, c, d, w]")

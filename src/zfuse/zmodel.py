@@ -64,12 +64,14 @@ def _normalize_term(name: str) -> str:
     return "-".join(name.replace("_", " ").replace("-", " ").casefold().split())
 
 
-_TERMS_BY_KEY = {_normalize_term(term.name): term for term in LEXICON}
+# Each term under its exact name, which input spells nearly always, and its
+# normalized key: a name is probed as given before it is normalized.
+_TERMS_BY_KEY = {key: term for term in LEXICON for key in (term.name, _normalize_term(term.name))}
 
 
 def linguistic_term(name: str) -> LinguisticTerm:
     """Look up a lexicon term; case, hyphens, and underscores do not matter."""
-    term = _TERMS_BY_KEY.get(_normalize_term(name))
+    term = _TERMS_BY_KEY.get(name) or _TERMS_BY_KEY.get(_normalize_term(name))
     if term is None:
         known = ", ".join(t.name for t in LEXICON)
         raise ValueError(f"unknown linguistic term {name!r}; expected one of: {known}")

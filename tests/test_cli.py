@@ -852,7 +852,7 @@ def seeded_shapes(seed, count):
 
 class TestShapeScan:
     """A numeric shape parses, or fails, exactly as the per-entry loop does: a regression
-    guard for the fast cases of the CLI's one reader."""
+    guard for the fast case of the CLI's one reader."""
 
     def test_matches_the_per_entry_loop(self):
         kinds = set()

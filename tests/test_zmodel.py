@@ -87,6 +87,11 @@ class TestLexicon:
     def test_lookup_is_forgiving(self):
         for spelling in ("Very-high", "very high", "VERY_HIGH", "very-High"):
             assert linguistic_term(spelling).name == "Very-high"
+        # every term, by its exact name and in three forgiving spellings
+        for t in LEXICON:
+            padded = " " + t.name.lower().replace("-", "  ") + "\t"
+            for spelling in (t.name, t.name.upper(), t.name.replace("-", "_"), padded):
+                assert linguistic_term(spelling) is t
 
     def test_unknown_term_names_the_options(self):
         with pytest.raises(ValueError, match="Absolutely-low.*Absolutely-high"):

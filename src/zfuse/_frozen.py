@@ -51,7 +51,10 @@ class Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setstate__(self, state: dict | tuple) -> None:
-        # copy and pickle give a slotted class (None, slots), any other a dict
+        # copy and pickle give a slotted class (None, slots), any other a dict;
+        # a dict reaching a slotted class was pickled before it had slots
+        if isinstance(state, dict) and not hasattr(self, "__dict__"):
+            raise TypeError(f"cannot load {type(self).__qualname__}: the pickle predates its __slots__ format")
         for part in state if isinstance(state, tuple) else (state,):
             for name, value in (part or {}).items():
                 set_field(self, name, value)

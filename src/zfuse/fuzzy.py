@@ -40,10 +40,6 @@ class TrapezoidalFuzzyNumber(Frozen):
         set_field(self, "w", w)
         set_field(self, "_term", None)
 
-    def __setstate__(self, state: dict | tuple) -> None:
-        set_field(self, "_term", None)  # pickles from before the slots hold it only if marked
-        super().__setstate__(state)
-
 
 def membership(f: TrapezoidalFuzzyNumber, x: float) -> float:
     """Membership grade of x, in [0, w].

@@ -71,10 +71,14 @@ _TERMS_BY_KEY = {key: term for term in LEXICON for key in (term.name, _normalize
 
 def linguistic_term(name: str) -> LinguisticTerm:
     """Look up a lexicon term; case, hyphens, and underscores do not matter."""
-    term = _TERMS_BY_KEY.get(name) or _TERMS_BY_KEY.get(_normalize_term(name))
+    term = _TERMS_BY_KEY.get(name)
     if term is None:
-        known = ", ".join(t.name for t in LEXICON)
-        raise ValueError(f"unknown linguistic term {name!r}; expected one of: {known}")
+        if not isinstance(name, str):
+            raise TypeError(f"a linguistic term name must be a str, got {type(name).__name__}")
+        term = _TERMS_BY_KEY.get(_normalize_term(name))
+        if term is None:
+            known = ", ".join(t.name for t in LEXICON)
+            raise ValueError(f"unknown linguistic term {name!r}; expected one of: {known}")
     return term
 
 
@@ -195,9 +199,8 @@ class ReferenceBounds(Frozen):
         return ReferenceBounds, (self.alpha,)
 
     def __setstate__(self, state: dict) -> None:
-        # loads pickles written before __reduce__, which hold every attribute:
-        # the score weights' alpha is in them whether or not alpha is
-        ReferenceBounds.__init__(self, state["score_weights"].alpha)
+        # __reduce__ passes no state, so only a pickle written before it gets here
+        raise TypeError("cannot load ReferenceBounds: the pickle predates its format of alpha alone")
 
     @classmethod
     def from_alpha(cls, alpha: float = DEFAULT_ALPHA) -> "ReferenceBounds":

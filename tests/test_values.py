@@ -24,9 +24,9 @@ from zfuse import (
     WeightVector,
     ZNumber,
     ZScore,
-    decide,
     linguistic_term,
 )
+from zfuse._frozen import Frozen
 
 F = TrapezoidalFuzzyNumber
 
@@ -251,58 +251,11 @@ OLD_PICKLES = {
         "gAJjemZ1c2UuZnV6enkKVHJhcGV6b2lkYWxGdXp6eU51bWJlcgpxACmBcQF9cQIoWAEAAABhcQNHP7mZmZmZmZpYAQAAAGJx"
         "BEc/yZmZmZmZmlgBAAAAY3EFRz/TMzMzMzMzWAEAAABkcQZHP9mZmZmZmZpYAQAAAHdxB0c/7MzMzMzMzXViLg=="
     ),
-    ("numeric", 5): (
-        "gAWVcwAAAAAAAACMC3pmdXNlLmZ1enp5lIwWVHJhcGV6b2lkYWxGdXp6eU51bWJlcpSTlCmBlH2UKIwBYZRHP7mZmZmZmZqM"
-        "AWKURz/JmZmZmZmajAFjlEc/0zMzMzMzM4wBZJRHP9mZmZmZmZqMAXeURz/szMzMzMzNdWIu"
-    ),
-    ("term", 2): (
-        "gAJjemZ1c2UuZnV6enkKVHJhcGV6b2lkYWxGdXp6eU51bWJlcgpxACmBcQF9cQIoWAEAAABhcQNHP8XCj1wo9cNYAQAAAGJx"
-        "BEc/zCj1wo9cKVgBAAAAY3EFRz/XCj1wo9cKWAEAAABkcQZHP9rhR64UeuFYAQAAAHdxB0c/8AAAAAAAAFgFAAAAX3Rlcm1x"
-        "CEsDdWIu"
-    ),
-    ("term", 5): (
-        "gAWVfQAAAAAAAACMC3pmdXNlLmZ1enp5lIwWVHJhcGV6b2lkYWxGdXp6eU51bWJlcpSTlCmBlH2UKIwBYZRHP8XCj1wo9cOM"
-        "AWKURz/MKPXCj1wpjAFjlEc/1wo9cKPXCowBZJRHP9rhR64UeuGMAXeURz/wAAAAAAAAjAVfdGVybZRLA3ViLg=="
-    ),
-    ("znumber", 2): (
-        "gAJjemZ1c2Uuem1vZGVsClpOdW1iZXIKcQApgXEBfXECKFgBAAAAQXEDY3pmdXNlLmZ1enp5ClRyYXBlem9pZGFsRnV6enlO"
-        "dW1iZXIKcQQpgXEFfXEGKFgBAAAAYXEHRz+5mZmZmZmaWAEAAABicQhHP8mZmZmZmZpYAQAAAGNxCUc/0zMzMzMzM1gBAAAA"
-        "ZHEKRz/ZmZmZmZmaWAEAAAB3cQtHP+zMzMzMzM11YlgBAAAAQnEMaAQpgXENfXEOKGgHRz/Fwo9cKPXDaAhHP8wo9cKPXClo"
-        "CUc/1wo9cKPXCmgKRz/a4UeuFHrhaAtHP/AAAAAAAABYBQAAAF90ZXJtcQ9LA3VidWIu"
-    ),
     ("znumber", 5): (
         "gAWV6QAAAAAAAACMDHpmdXNlLnptb2RlbJSMB1pOdW1iZXKUk5QpgZR9lCiMAUGUjAt6ZnVzZS5mdXp6eZSMFlRyYXBlem9p"
         "ZGFsRnV6enlOdW1iZXKUk5QpgZR9lCiMAWGURz+5mZmZmZmajAFilEc/yZmZmZmZmowBY5RHP9MzMzMzMzOMAWSURz/ZmZmZ"
         "mZmajAF3lEc/7MzMzMzMzXVijAFClGgIKYGUfZQoaAtHP8XCj1wo9cNoDEc/zCj1wo9cKWgNRz/XCj1wo9cKaA5HP9rhR64U"
         "euFoD0c/8AAAAAAAAIwFX3Rlcm2USwN1YnViLg=="
-    ),
-    ("medical", 2): (
-        "gAJjemZ1c2UucGlwZWxpbmUKQXNzZXNzbWVudE1hdHJpeApxACmBcQF9cQIoWAUAAABmcmFtZXEDY3pmdXNlLmV2aWRlbmNl"
-        "CkZyYW1lCnEEKYFxBX1xBlgKAAAAaHlwb3RoZXNlc3EHWAsAAABDb21tb24tY29sZHEIWAoAAABNZW5pbmdpdGlzcQlYBwAA"
-        "AE1lYXNsZXNxCodxC3NiWAcAAABzb3VyY2VzcQxYAgAAAEUxcQ1YAgAAAEUycQ5YAgAAAEUzcQ+HcRBYBQAAAGNlbGxzcRFj"
-        "emZ1c2Uuem1vZGVsClpOdW1iZXIKcRIpgXETfXEUKFgBAAAAQXEVY3pmdXNlLmZ1enp5ClRyYXBlem9pZGFsRnV6enlOdW1i"
-        "ZXIKcRYpgXEXfXEYKFgBAAAAYXEZRz/two9cKPXDWAEAAABicRpHP+9cKPXCj1xYAQAAAGNxG0c/8AAAAAAAAFgBAAAAZHEc"
-        "Rz/wAAAAAAAAWAEAAAB3cR1HP/AAAAAAAABYBQAAAF90ZXJtcR5LB3ViWAEAAABCcR9oF3ViaBIpgXEgfXEhKGgVaBYpgXEi"
-        "fXEjKGgZRz+keuFHrhR7aBpHP7mZmZmZmZpoG0c/xwo9cKPXCmgcRz/NcKPXCj1xaB1HP/AAAAAAAABoHksCdWJoH2gXdWJo"
-        "EimBcSR9cSUoaBVoFimBcSZ9cScoaBlHAAAAAAAAAABoGkcAAAAAAAAAAGgbRwAAAAAAAAAAaBxHAAAAAAAAAABoHUc/8AAA"
-        "AAAAAGgeSwB1YmgfaBd1YodxKGgSKYFxKX1xKihoFWgWKYFxK31xLChoGUc/4o9cKPXCj2gaRz/kKPXCj1wpaBtHP+mZmZmZ"
-        "mZpoHEc/64UeuFHrhWgdRz/wAAAAAAAAaB5LBXViaB9oFimBcS19cS4oaBlHP+cKPXCj1wpoGkc/6PXCj1wo9mgbRz/tcKPX"
-        "Cj1xaBxHP+8KPXCj1wpoHUc/8AAAAAAAAGgeSwZ1YnViaBIpgXEvfXEwKGgVaCJoH2gtdWJoEimBcTF9cTIoaBVoImgfaBd1"
-        "YodxM2gSKYFxNH1xNShoFWgiaB9oF3ViaBIpgXE2fXE3KGgVaCJoH2gtdWJoEimBcTh9cTkoaBVoLWgfaBd1YodxOodxO3Vi"
-        "Lg=="
-    ),
-    ("medical", 5): (
-        "gAWV/QIAAAAAAACMDnpmdXNlLnBpcGVsaW5llIwQQXNzZXNzbWVudE1hdHJpeJSTlCmBlH2UKIwFZnJhbWWUjA56ZnVzZS5l"
-        "dmlkZW5jZZSMBUZyYW1llJOUKYGUfZSMCmh5cG90aGVzZXOUjAtDb21tb24tY29sZJSMCk1lbmluZ2l0aXOUjAdNZWFzbGVz"
-        "lIeUc2KMB3NvdXJjZXOUjAJFMZSMAkUylIwCRTOUh5SMBWNlbGxzlIwMemZ1c2Uuem1vZGVslIwHWk51bWJlcpSTlCmBlH2U"
-        "KIwBQZSMC3pmdXNlLmZ1enp5lIwWVHJhcGV6b2lkYWxGdXp6eU51bWJlcpSTlCmBlH2UKIwBYZRHP+3Cj1wo9cOMAWKURz/v"
-        "XCj1wo9cjAFjlEc/8AAAAAAAAIwBZJRHP/AAAAAAAACMAXeURz/wAAAAAAAAjAVfdGVybZRLB3VijAFClGgfdWJoGCmBlH2U"
-        "KGgbaB4pgZR9lChoIUc/pHrhR64Ue2giRz+5mZmZmZmaaCNHP8cKPXCj1wpoJEc/zXCj1wo9cWglRz/wAAAAAAAAaCZLAnVi"
-        "aCdoH3ViaBgpgZR9lChoG2geKYGUfZQoaCFHAAAAAAAAAABoIkcAAAAAAAAAAGgjRwAAAAAAAAAAaCRHAAAAAAAAAABoJUc/"
-        "8AAAAAAAAGgmSwB1YmgnaB91YoeUaBgpgZR9lChoG2geKYGUfZQoaCFHP+KPXCj1wo9oIkc/5Cj1wo9cKWgjRz/pmZmZmZma"
-        "aCRHP+uFHrhR64VoJUc/8AAAAAAAAGgmSwV1YmgnaB4pgZR9lChoIUc/5wo9cKPXCmgiRz/o9cKPXCj2aCNHP+1wo9cKPXFo"
-        "JEc/7wo9cKPXCmglRz/wAAAAAAAAaCZLBnVidWJoGCmBlH2UKGgbaCpoJ2g1dWJoGCmBlH2UKGgbaCpoJ2gfdWKHlGgYKYGU"
-        "fZQoaBtoKmgnaB91YmgYKYGUfZQoaBtoKmgnaDV1YmgYKYGUfZQoaBtoNWgnaB91YoeUh5R1Yi4="
     ),
 }
 
@@ -317,16 +270,11 @@ def marks(x):
 
 
 @pytest.mark.parametrize("name, protocol", OLD_PICKLES)
-def test_pickles_from_before_slots_still_load(name, protocol):
-    expected = PICKLED[name]()
-    loaded = pickle.loads(base64.b64decode("".join(OLD_PICKLES[name, protocol])))
-    assert type(loaded) is type(expected)
-    assert loaded == expected and repr(loaded) == repr(expected)
-    assert marks(loaded) == marks(expected)
-    if name == "term":
-        assert loaded._term == 3
-    if name == "medical":
-        assert repr(decide(loaded)) == repr(decide(expected))
+def test_pickles_from_before_slots_are_refused(name, protocol):
+    # refused while they load, not half-built to fail on first use; a
+    # Z-number's error comes from the shape inside it, loaded first
+    with pytest.raises(TypeError, match="^cannot load TrapezoidalFuzzyNumber: the pickle predates"):
+        pickle.loads(base64.b64decode("".join(OLD_PICKLES[name, protocol])))
 
 
 @pytest.mark.parametrize("name", PICKLED)
@@ -336,3 +284,32 @@ def test_copies_and_new_pickles_keep_the_term_mark(name):
     twins = [copy.copy(x), copy.deepcopy(x), *pickles]
     for twin in twins:
         assert twin == x and marks(twin) == marks(x)
+
+
+def test_only_a_type_with_a_dict_loads_a_dict_state():
+    # every Frozen subclass in zfuse, found by walking the class tree, so a
+    # type added later is held to this as well
+    types, todo = {}, [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("zfuse."):
+                types[cls.__qualname__] = cls
+    assert set(types) == set(CASES)
+    for name, cls in types.items():
+        x = CASES[name][0]()
+        reduced = x.__reduce_ex__(2)
+        state = reduced[2] if len(reduced) > 2 else None
+        if not hasattr(x, "__dict__"):
+            # a slotted type pickles (None, slots) and refuses its slots as a dict
+            assert state[0] is None
+            with pytest.raises(TypeError, match=f"^cannot load {name}: the pickle predates"):
+                cls.__new__(cls).__setstate__(state[1])
+        elif state is None:
+            # a type that pickles its arguments alone, which no dict state reaches
+            with pytest.raises(TypeError, match=f"^cannot load {name}: the pickle predates"):
+                cls.__new__(cls).__setstate__(dict(vars(x)))
+        else:
+            twin = cls.__new__(cls)
+            twin.__setstate__(state)
+            assert twin == x and repr(twin) == repr(x)

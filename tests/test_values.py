@@ -286,30 +286,38 @@ def test_copies_and_new_pickles_keep_the_term_mark(name):
         assert twin == x and marks(twin) == marks(x)
 
 
-def test_only_a_type_with_a_dict_loads_a_dict_state():
-    # every Frozen subclass in zfuse, found by walking the class tree, so a
-    # type added later is held to this as well
+def frozen_types():
+    """Every Frozen subclass in zfuse by name, found by walking the class tree."""
     types, todo = {}, [Frozen]
     while todo:
         for cls in todo.pop().__subclasses__():
             todo.append(cls)
             if cls.__module__.startswith("zfuse."):
                 types[cls.__qualname__] = cls
-    assert set(types) == set(CASES)
-    for name, cls in types.items():
-        x = CASES[name][0]()
-        reduced = x.__reduce_ex__(2)
-        state = reduced[2] if len(reduced) > 2 else None
-        if not hasattr(x, "__dict__"):
-            # a slotted type pickles (None, slots) and refuses its slots as a dict
-            assert state[0] is None
-            with pytest.raises(TypeError, match=f"^cannot load {name}: the pickle predates"):
-                cls.__new__(cls).__setstate__(state[1])
-        elif state is None:
-            # a type that pickles its arguments alone, which no dict state reaches
-            with pytest.raises(TypeError, match=f"^cannot load {name}: the pickle predates"):
-                cls.__new__(cls).__setstate__(dict(vars(x)))
-        else:
-            twin = cls.__new__(cls)
-            twin.__setstate__(state)
-            assert twin == x and repr(twin) == repr(x)
+    return types
+
+
+def test_every_frozen_type_is_a_case():
+    # so a type added later is held to the tests above and below as well
+    assert set(frozen_types()) == set(CASES)
+
+
+@pytest.mark.parametrize("name", frozen_types())
+def test_only_a_type_with_a_dict_loads_a_dict_state(name):
+    cls = frozen_types()[name]
+    x = CASES[name][0]()
+    reduced = x.__reduce_ex__(2)
+    state = reduced[2] if len(reduced) > 2 else None
+    if not hasattr(x, "__dict__"):
+        # a slotted type pickles (None, slots) and refuses its slots as a dict
+        assert state[0] is None
+        with pytest.raises(TypeError, match=f"^cannot load {name}: the pickle predates"):
+            cls.__new__(cls).__setstate__(state[1])
+    elif state is None:
+        # a type that pickles its arguments alone, which no dict state reaches
+        with pytest.raises(TypeError, match=f"^cannot load {name}: the pickle predates"):
+            cls.__new__(cls).__setstate__(dict(vars(x)))
+    else:
+        twin = cls.__new__(cls)
+        twin.__setstate__(state)
+        assert twin == x and repr(twin) == repr(x)

@@ -2,8 +2,11 @@
 
 Each public type is a plain class that lists its fields, its constructor's
 arguments, in __match_args__ and writes its own __init__, which checks them
-and stores them with set_field.  A type may keep attributes derived from
-them too, as ReferenceBounds and MassFunction do; those are not
+and stores them with set_field.  The two slotted cell types,
+TrapezoidalFuzzyNumber and ZNumber, which a grid builds for every numeric
+cell, store them through their slots' member descriptors instead, which
+skip set_field's lookup of the name.  A type may keep attributes derived
+from them too, as ReferenceBounds and MassFunction do; those are not
 fields.  Frozen reads that tuple to compare, hash and print instances
 field by field, in the layout a frozen dataclass has, without importing
 dataclasses (which costs more than the rest of zfuse to import).

@@ -278,10 +278,16 @@ def _load_json(path: str):
             raise InputError(f"{name}: invalid JSON: {err}") from None
 
 
-def _label(value: str, what: str) -> str:
-    """value, unless it is empty or only whitespace; what names it in the error."""
+def _place(where: tuple, part: str = "") -> str:
+    """The location text a (template, *values) tuple names, with part appended."""
+    return where[0].format(*where[1:]) + part
+
+
+def _label(value: str, where: tuple) -> str:
+    """value, unless it is empty or only whitespace; where names it in the
+    error, as for _parse_shape."""
     if not value.strip():
-        raise InputError(f"{what} is blank")
+        raise InputError(f"{_place(where)} is blank")
     return value
 
 
@@ -324,21 +330,27 @@ def _parse_shape(value, where: tuple, part: str = "") -> TrapezoidalFuzzyNumber:
         try:
             return linguistic_term(value).shape
         except ValueError as err:
-            raise InputError(f"{where[0].format(*where[1:])}{part}: {err}") from None
-    # the fast case: five plain JSON numbers, found by one C scan of their
-    # types, need no _number
-    if type(value) is list and len(value) == 5 and _NUMBER_TYPES.issuperset(map(type, value)):
+            raise InputError(f"{_place(where, part)}: {err}") from None
+    # the fast case: five plain JSON numbers need no _number.  Five floats,
+    # as a generated grid holds, go to the constructor as they are; with an
+    # int among them, such as a height written 1, one scan of the types in C
+    # and a float() of each entry
+    if type(value) is list and len(value) == 5:
+        a, b, c, d, w = value
         try:
-            return TrapezoidalFuzzyNumber(*map(float, value))
+            if type(a) is float and type(b) is float and type(c) is float and type(d) is float and type(w) is float:
+                return TrapezoidalFuzzyNumber(a, b, c, d, w)
+            if _NUMBER_TYPES.issuperset(map(type, value)):
+                return TrapezoidalFuzzyNumber(float(a), float(b), float(c), float(d), float(w))
         except (OverflowError, ValueError):
             pass  # an int past the float range, or a bad shape: named below
-    place = where[0].format(*where[1:]) + part
+    place = _place(where, part)
     if isinstance(value, list):
         if len(value) != 5:
             raise InputError(f"{place}: a numeric shape needs exactly [a, b, c, d, w]")
-        numbers = [_number(v, place) for v in value]
+        a, b, c, d, w = [_number(v, place) for v in value]
         try:
-            return TrapezoidalFuzzyNumber(*numbers)
+            return TrapezoidalFuzzyNumber(a, b, c, d, w)
         except ValueError as err:
             raise ValueError(f"{place}: {err}") from None
     raise InputError(f"{place}: expected a term name or [a, b, c, d, w], got {value!r}")
@@ -347,7 +359,7 @@ def _parse_shape(value, where: tuple, part: str = "") -> TrapezoidalFuzzyNumber:
 def _parse_cell(value, where: tuple) -> ZNumber:
     """value, {"A": shape, "B": shape}, as a ZNumber; where as for _parse_shape."""
     if not isinstance(value, dict) or len(value) != 2 or "A" not in value or "B" not in value:
-        raise InputError(f'{where[0].format(*where[1:])}: a cell must be an object with exactly "A" and "B"')
+        raise InputError(f'{_place(where)}: a cell must be an object with exactly "A" and "B"')
     return ZNumber(_parse_shape(value["A"], where, ".A"), _parse_shape(value["B"], where, ".B"))
 
 
@@ -367,25 +379,26 @@ def _parse_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     if not isinstance(frame_labels, list) or not all(isinstance(h, str) for h in frame_labels):
         raise InputError(f'{name}: "frame" must be a list of hypothesis labels')
     for j, h in enumerate(frame_labels):
-        _label(h, f'{name}: "frame"[{j}]')
+        _label(h, ('{}: "frame"[{}]', name, j))
     sources = doc.get("sources")
     if not isinstance(sources, list) or not sources:
         raise InputError(f'{name}: "sources" must be a non-empty list')
     alpha = _file_alpha(doc, name)
 
     frame = _grid_part(name, Frame, tuple(frame_labels))
+    hypotheses = set(frame_labels)
     labels: list[str] = []
     rows: list[tuple[ZNumber, ...]] = []
     for k, entry in enumerate(sources):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise InputError(f'{name}: sources[{k}] needs a "name"')
-        label = _label(entry["name"], f'{name}: sources[{k}] "name"')
+        label = _label(entry["name"], ('{}: sources[{}] "name"', name, k))
         cells = entry.get("assessments")
         if not isinstance(cells, dict):
             raise InputError(f'{name}: source {label!r} needs an "assessments" object')
-        extra = set(cells) - set(frame_labels)
-        if extra:
-            raise InputError(f"{name}: source {label!r} assesses unknown hypotheses {sorted(extra)}")
+        if not hypotheses.issuperset(cells):
+            extra = sorted(set(cells) - hypotheses)
+            raise InputError(f"{name}: source {label!r} assesses unknown hypotheses {extra}")
         row = []
         for h in frame_labels:
             if h not in cells:
@@ -424,7 +437,7 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
     if len(header) < 2:
         raise InputError(f"{name}: header must name a source column and the hypotheses")
     for j, h in enumerate(header[1:], start=2):
-        _label(h, f"{name}: header column {j}")
+        _label(h, ("{}: header column {}", name, j))
     frame = _grid_part(name, Frame, tuple(header[1:]))
     data = rows[1:]
     if not data or len(data) % 2 != 0:
@@ -432,7 +445,7 @@ def _load_csv_matrix(path: str) -> AssessmentMatrix:
     labels: list[str] = []
     grid: list[tuple[ZNumber, ...]] = []
     for (line_a, row_a), (line_b, row_b) in zip(data[::2], data[1::2]):
-        source = _label(row_a[0], f"{name}: line {line_a}: the source name")
+        source = _label(row_a[0], ("{}: line {}: the source name", name, line_a))
         for line, row in ((line_a, row_a), (line_b, row_b)):
             if len(row) != len(header):
                 raise InputError(f"{name}: line {line}: expected {len(header)} columns")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 
 _INV_SQRT12 = 1.0 / math.sqrt(12.0)
 
@@ -33,12 +33,20 @@ class TrapezoidalFuzzyNumber(Frozen):
             raise ValueError(f"vertices must satisfy a <= b <= c <= d, got ({a}, {b}, {c}, {d})")
         if not 0.0 < w <= 1.0:
             raise ValueError(f"height must satisfy 0 < w <= 1, got {w}")
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
-        set_field(self, "w", w)
-        set_field(self, "_term", None)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_w(self, w)
+        _set_term(self, None)
+
+
+# Each slot's member descriptor stores its field past Frozen.__setattr__ in
+# one C call, without object.__setattr__'s lookup of the name on the type; a
+# numeric cell builds two shapes.
+_set_a, _set_b, _set_c, _set_d, _set_w, _set_term = [
+    TrapezoidalFuzzyNumber.__dict__[name].__set__ for name in TrapezoidalFuzzyNumber.__slots__
+]
 
 
 def membership(f: TrapezoidalFuzzyNumber, x: float) -> float:

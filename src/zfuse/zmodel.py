@@ -30,8 +30,12 @@ class ZNumber(Frozen):
             raise TypeError(
                 f"Z-number part {name} must be a TrapezoidalFuzzyNumber, got {type(part).__name__}{hint}"
             )
-        set_field(self, "A", A)
-        set_field(self, "B", B)
+        _set_A(self, A)
+        _set_B(self, B)
+
+
+# stores through the slots' member descriptors, as TrapezoidalFuzzyNumber does
+_set_A, _set_B = [ZNumber.__dict__[name].__set__ for name in ZNumber.__slots__]
 
 
 class LinguisticTerm(Frozen):

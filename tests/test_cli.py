@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dis
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from zfuse import cli, owa
 from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
-from zfuse.cli import _file_alpha, _label, _not_utf8
+from zfuse.cli import _file_alpha, _not_utf8
 from zfuse.evidence import Frame, MassFunction, combine_all
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.pipeline import AssessmentMatrix
@@ -888,8 +889,97 @@ class TestShapeScan:
                 assert (out, err) == ("", f"zfuse: {message}\n"), shape
 
 
+def respelled(value, integral: bool):
+    """value with each number written as an int where it is integral, or with
+    every number written as a float; a bool stays as it is."""
+    kind = type(value)
+    if kind is dict:
+        return {key: respelled(item, integral) for key, item in value.items()}
+    if kind is list:
+        return [respelled(item, integral) for item in value]
+    if integral and kind is float and value.is_integer():
+        return int(value)
+    if not integral and kind is int:
+        return float(value)
+    return value
+
+
+def integral_grid(rng: random.Random) -> dict:
+    """A 3-6 x 3-6 numeric grid whose shapes often hold 0, 1 and a height of 1."""
+
+    def shape():
+        vertices = sorted(rng.choice((0.0, 1.0, round(rng.random(), 3))) for _ in range(4))
+        return vertices + [rng.choice((1.0, 1.0, round(rng.uniform(0.3, 1.0), 3)))]
+
+    frame = [f"H{j}" for j in range(rng.randint(3, 6))]
+    sources = [f"E{k}" for k in range(rng.randint(3, 6))]
+    return {
+        "frame": frame,
+        "sources": [{"name": s, "assessments": {h: {"A": shape(), "B": shape()} for h in frame}} for s in sources],
+    }
+
+
+class TestNumericFastCase:
+    """The reader's fast case, for a list of five floats and for one with an
+    int in it, builds the shape the checked path would."""
+
+    def test_a_cell_takes_no_generic_store_or_star_call(self):
+        # a shape and a Z-number store each field through its slot's member
+        # descriptor, not object.__setattr__; the reader passes the five
+        # entries by position, not through a *args call
+        for init in (TrapezoidalFuzzyNumber.__init__, ZNumber.__init__):
+            names = {i.argval for i in dis.get_instructions(init) if i.opname == "LOAD_GLOBAL"}
+            found = sorted(names & {"set_field", "object", "setattr"})
+            assert not found, f"{init.__qualname__} loads {found}; see README, Complexity, for its slot stores"
+        ops = {i.opname for i in dis.get_instructions(cli._parse_shape)}
+        assert "CALL_FUNCTION_EX" not in ops, "cli._parse_shape makes a star-call"
+
+    @pytest.mark.parametrize(
+        "value",
+        [[0.1, 0.2, 0.3, 0.4, 0.9], [0.1, 0.2, 0.3, 0.4, 1], [0, 0, 1, 1, 1]],
+        ids=["floats", "int-height", "ints"],
+    )
+    def test_a_numeric_shape_reads_unmarked(self, value):
+        shape = cli._parse_shape(value, ("items[0]",))
+        assert shape == TrapezoidalFuzzyNumber(*map(float, value))
+        assert all(type(v) is float for v in (shape.a, shape.b, shape.c, shape.d, shape.w))
+        assert shape._term is None
+
+    def test_a_term_reads_as_its_marked_lexicon_shape(self):
+        for index, term in enumerate(LEXICON):
+            assert cli._parse_shape(term.name, ("items[0]",))._term == index
+
+    @pytest.mark.parametrize("source", ["medical", "risk", "seeded"])
+    def test_ints_and_floats_print_alike(self, tmp_path, capsys, source):
+        if source == "seeded":
+            doc = integral_grid(random.Random(37))
+        else:
+            doc = json.loads(Path(MEDICAL if source == "medical" else RISK).read_text(encoding="utf-8"))
+        spellings = [json.dumps(respelled(doc, integral)) for integral in (True, False)]
+        # the lexicon-only medical grid holds no integral number to respell
+        assert (spellings[0] != spellings[1]) == (source != "medical")
+        outputs = {}
+        for k, text in enumerate(spellings):
+            path = tmp_path / f"spelling{k}.json"
+            path.write_text(text, encoding="utf-8")
+            for mode in ("decide", "bpa"):
+                for fmt in ("table", "json"):
+                    code, out, err = run(capsys, mode, "--input", str(path), "--format", fmt)
+                    assert (code, err) == (EXIT_OK, "")
+                    outputs.setdefault((mode, fmt), set()).add(out)
+        assert all(len(outs) == 1 for outs in outputs.values())
+
+
 # The whole-file oracle: the two loaders as they were when every cell went
-# through the oracle readers above.
+# through the oracle readers above, and cli._label as it was when its
+# location text was built first.
+def _label(value: str, what: str) -> str:
+    """value, unless it is empty or only whitespace; what names it in the error."""
+    if not value.strip():
+        raise InputError(f"{what} is blank")
+    return value
+
+
 def checked_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
     """cli._parse_matrix_doc as it was before its cells skipped the checked
     parse, kept verbatim: the oracle for TestWholeFile."""

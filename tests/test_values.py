@@ -286,6 +286,23 @@ def test_copies_and_new_pickles_keep_the_term_mark(name):
         assert twin == x and marks(twin) == marks(x)
 
 
+def test_the_slotted_cell_types_stay_frozen():
+    # their __init__ stores each slot through its member descriptor, past
+    # Frozen.__setattr__; after it returns, no slot can be set or deleted,
+    # the term mark included
+    numeric = F(0.1, 0.2, 0.3, 0.4, 0.9)
+    for x in (numeric, LEXICON[3].shape, ZNumber(numeric, LEXICON[3].shape)):
+        for name in type(x).__slots__:
+            with pytest.raises(AttributeError, match="^cannot assign"):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError, match="^cannot delete"):
+                delattr(x, name)
+    assert repr(numeric) == FUZZY
+    # a numeric shape carries no term mark; each lexicon shape keeps its index
+    assert numeric._term is None
+    assert [term.shape._term for term in LEXICON] == list(range(len(LEXICON)))
+
+
 def frozen_types():
     """Every Frozen subclass in zfuse by name, found by walking the class tree."""
     types, todo = {}, [Frozen]

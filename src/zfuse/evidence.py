@@ -234,9 +234,12 @@ def bpa_from_similarities(frame: Frame, scores: Sequence[float]) -> MassFunction
         raise ValueError(
             f"expected {len(frame)} scores for frame {frame.hypotheses}, got {len(scores)}"
         )
+    # two plain comparisons, not a chained one, which copies and swaps s
+    # on the stack for every score; NaN fails the first
     for s in scores:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"similarities must lie in [0, 1], got {s}")
+        if s >= 0.0 and s <= 1.0:
+            continue
+        raise ValueError(f"similarities must lie in [0, 1], got {s}")
     sims = list(map(float, scores))
     residual = 1.0 - max(sims)
     total = math.fsum(sims) + residual

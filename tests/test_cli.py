@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from zfuse import cli, owa
 from zfuse.cli import EXIT_CLOSED, EXIT_CONFLICT, EXIT_INVALID, EXIT_OK, EXIT_PARSE, InputError, main
-from zfuse.cli import _file_alpha, _not_utf8
 from zfuse.evidence import Frame, MassFunction, combine_all
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.pipeline import AssessmentMatrix
@@ -971,13 +970,35 @@ class TestNumericFastCase:
 
 
 # The whole-file oracle: the two loaders as they were when every cell went
-# through the oracle readers above, and cli._label as it was when its
-# location text was built first.
+# through the oracle readers above, cli._label as it was when its location
+# text was built first, and cli's alpha reader, UTF-8 error and JSON loader,
+# so that a fault in one of those shows as a difference, not in both sides.
 def _label(value: str, what: str) -> str:
     """value, unless it is empty or only whitespace; what names it in the error."""
     if not value.strip():
         raise InputError(f"{what} is blank")
     return value
+
+
+def _file_alpha(doc: dict, name: str) -> float | None:
+    alpha = doc.get("alpha")
+    return None if alpha is None else _number(alpha, f'{name}: "alpha"')
+
+
+def _not_utf8(name: str, err: UnicodeDecodeError) -> InputError:
+    return InputError(f"{name}: not UTF-8 text: {err.reason}")
+
+
+def checked_json(path: str):
+    """cli._load_json, kept verbatim: the oracle's JSON reader."""
+    name = os.path.basename(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as err:
+            raise _not_utf8(name, err) from None
+        except (ValueError, RecursionError) as err:
+            raise InputError(f"{name}: invalid JSON: {err}") from None
 
 
 def checked_matrix_doc(doc, name: str) -> tuple[AssessmentMatrix, float | None]:
@@ -1090,7 +1111,7 @@ def checked_result(path):
     try:
         if path.endswith(".csv"):
             return checked_csv_matrix(path), None
-        return checked_matrix_doc(cli._load_json(path), os.path.basename(path))
+        return checked_matrix_doc(checked_json(path), os.path.basename(path))
     except (InputError, ValueError) as err:
         return type(err), str(err)
 
@@ -1106,6 +1127,9 @@ JSON_MUTATIONS = [
     ("row", "missing"), ("row", "extra"), ("none", None),
 ]
 CSV_MUTATIONS = ["very_high", " VERY-HIGH ", "very high", "Sorta-high", "true", "NaN", "1e400", "0.5", "", "Medium"]
+# bytes that are not UTF-8, and whether they may go anywhere in a file or
+# only at its end; the reason each gives is part of the message
+NOT_UTF8 = [(b"\xff", True), (b"\xc3(", True), (b"\xed\xa0\x80", True), (b"\xe2\x82", False)]
 
 
 def mutated_json(rng, kind, value):
@@ -1203,6 +1227,30 @@ class TestWholeFile:
             else:
                 outcomes.add(got[0])
         assert outcomes == {"matrix", InputError}
+
+    def test_seeded_grids_that_do_not_decode(self, tmp_path):
+        rng = random.Random(19)
+        reasons = set()
+        for i in range(72):
+            if i % 3 == 2:
+                text = json.dumps(seeded_grid(rng))
+                path = tmp_path / f"cut{i}.json"
+                path.write_text(text[: rng.randrange(len(text))], encoding="utf-8")
+                got = self.assert_same(str(path))
+                assert got[0] is InputError and got[1].startswith(f"cut{i}.json: invalid JSON: "), got
+                continue
+            if i % 3:
+                name, data = f"grid{i}.csv", mutated_csv(rng, "Low").encode("utf-8")
+            else:
+                name, data = f"grid{i}.json", json.dumps(seeded_grid(rng)).encode("utf-8")
+            bad, anywhere = NOT_UTF8[i // 3 % len(NOT_UTF8)]
+            at = rng.randrange(len(data) + 1) if anywhere else len(data)
+            path = tmp_path / name
+            path.write_bytes(data[:at] + bad + data[at:])
+            got = self.assert_same(str(path))
+            assert got[0] is InputError and got[1].startswith(f"{name}: not UTF-8 text: "), got
+            reasons.add(got[1].removeprefix(f"{name}: not UTF-8 text: "))
+        assert reasons == {"invalid start byte", "invalid continuation byte", "unexpected end of data"}
 
 
 # labels that would change, or fail, if an error message used them as a format string

@@ -175,6 +175,30 @@ class TestBpaFromSimilarities:
         if shown is not None:
             assert str(got.value) == f"similarities must lie in [0, 1], got {shown}"
 
+    @pytest.mark.parametrize(
+        "scores, shown",
+        [
+            ([1.5, 0.2, 0.3], "1.5"),
+            ([0.2, -0.5, 0.3], "-0.5"),
+            ([0.2, 0.3, math.nan], "nan"),
+            ([0.2, 3.0, -1.0], "3.0"),
+            ([math.nan, 0.2, 2.0], "nan"),
+            ([0.2, -5e-324, math.nan], "-5e-324"),
+            ([0.2, math.nextafter(1.0, 2.0), 0.3], "1.0000000000000002"),
+        ],
+        ids=["first", "middle", "last", "two", "nan-then-one", "denormal-then-nan", "next-above-one"],
+    )
+    def test_the_first_score_out_of_range_is_named(self, scores, shown):
+        with pytest.raises(ValueError) as got:
+            bpa_from_similarities(ABC, scores)
+        assert str(got.value) == f"similarities must lie in [0, 1], got {shown}"
+
+    @pytest.mark.parametrize("scores", [[-0.0], [1.0], [-0.0, 1.0, 0.0], [1.0, -0.0, 1.0], [0, 1, Fraction(1, 2)]])
+    def test_the_ends_of_the_interval_are_accepted(self, scores):
+        frame = Frame(tuple(f"h{i}" for i in range(len(scores))))
+        m = bpa_from_similarities(frame, scores)
+        assert math.fsum(m.masses.values()) == pytest.approx(1.0, abs=1e-12)
+
     def test_argmax_and_normalization_hold_up(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -18,7 +18,7 @@ from zfuse import cli, evidence, pipeline
 from zfuse.evidence import Frame, TotalConflictError, bpa_from_similarities
 from zfuse.fuzzy import TrapezoidalFuzzyNumber
 from zfuse.pipeline import AssessmentMatrix, decide, source_bpas, strip_reliability
-from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, linguistic_term, score_znumber, similarity
+from zfuse.zmodel import LEXICON, ReferenceBounds, ZNumber, best_first, linguistic_term, score_znumber, similarity
 
 from oracles import exact_fold
 
@@ -699,6 +699,32 @@ class TestExactFold:
         (second, _), (top, best) = singles[-2:]
         if top - second > Fraction(1, 10**12):
             assert report.decision == report.frame.hypotheses[best]
+
+
+class TestRankingLabels:
+    """decide's ranking is a tuple of the frame's labels in best_first order
+    of the fused singleton masses."""
+
+    @staticmethod
+    def check(report):
+        expected = tuple(report.frame.hypotheses[i] for i in best_first(report.fused._singles()))
+        assert type(report.ranking) is tuple
+        assert report.ranking == expected
+        assert report.decision == expected[0]
+        return report.ranking
+
+    def test_two_hypotheses(self):
+        # the fewest a matrix holds: two indices to label
+        rankings = set()
+        for a, b in (("High", "Low"), ("Low", "High"), ("Medium", "Medium")):
+            rows = [[z(a, "Very-high"), z(b, "Very-high")], [z(a, "High"), z(b, "Fairly-high")]]
+            rankings.add(self.check(decide(labelled(rows, ("up", "down")))))
+        assert rankings == {("up", "down"), ("down", "up")}
+
+    @seeded(lexicon_rows, wide_frame_rows)
+    def test_seeded_lexicon_grids(self, make, seed):
+        ranking = self.check(decide(labelled(make(random.Random(seed)))))
+        assert sorted(ranking) == sorted(f"H{j}" for j in range(len(ranking)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

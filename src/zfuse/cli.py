@@ -314,46 +314,33 @@ def _file_alpha(doc: dict, name: str) -> float | None:
     return None if alpha is None else _number(alpha, f'{name}: "alpha"')
 
 
-# The types a JSON number loads as; bool, which JSON true/false load as, is not one.
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _parse_shape(value, where: tuple, part: str = "") -> TrapezoidalFuzzyNumber:
     """value, a term name or [a, b, c, d, w], as a shape.
 
     where is a (template, *values) tuple that, with part appended, names the
     value in an error message.  That text is built only for a value that
-    fails to read, and a label among the values is printed as written,
-    braces and all.
+    fails to read or holds an entry that is not a float, and a label among
+    the values is printed as written, braces and all.
     """
     if isinstance(value, str):
         try:
             return linguistic_term(value).shape
         except ValueError as err:
             raise InputError(f"{_place(where, part)}: {err}") from None
-    # the fast case: five plain JSON numbers need no _number.  Five floats,
-    # as a generated grid holds, go to the constructor as they are; with an
-    # int among them, such as a height written 1, one scan of the types in C
-    # and a float() of each entry
-    if type(value) is list and len(value) == 5:
-        a, b, c, d, w = value
-        try:
-            if type(a) is float and type(b) is float and type(c) is float and type(d) is float and type(w) is float:
-                return TrapezoidalFuzzyNumber(a, b, c, d, w)
-            if _NUMBER_TYPES.issuperset(map(type, value)):
-                return TrapezoidalFuzzyNumber(float(a), float(b), float(c), float(d), float(w))
-        except (OverflowError, ValueError):
-            pass  # an int past the float range, or a bad shape: named below
-    place = _place(where, part)
-    if isinstance(value, list):
-        if len(value) != 5:
-            raise InputError(f"{place}: a numeric shape needs exactly [a, b, c, d, w]")
+    if not isinstance(value, list):
+        raise InputError(f"{_place(where, part)}: expected a term name or [a, b, c, d, w], got {value!r}")
+    if len(value) != 5:
+        raise InputError(f"{_place(where, part)}: a numeric shape needs exactly [a, b, c, d, w]")
+    # five floats, as a generated grid holds, go to the constructor as they
+    # are; any other entry, an int among them, is read by _number
+    a, b, c, d, w = value
+    if not (type(a) is float and type(b) is float and type(c) is float and type(d) is float and type(w) is float):
+        place = _place(where, part)
         a, b, c, d, w = [_number(v, place) for v in value]
-        try:
-            return TrapezoidalFuzzyNumber(a, b, c, d, w)
-        except ValueError as err:
-            raise ValueError(f"{place}: {err}") from None
-    raise InputError(f"{place}: expected a term name or [a, b, c, d, w], got {value!r}")
+    try:
+        return TrapezoidalFuzzyNumber(a, b, c, d, w)
+    except ValueError as err:
+        raise ValueError(f"{_place(where, part)}: {err}") from None
 
 
 def _parse_cell(value, where: tuple) -> ZNumber:

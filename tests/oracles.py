@@ -9,6 +9,8 @@ Dempster's rule over frozensets, and exact_fold by Dempster's rule in exact
 rational arithmetic.  reference_score scores a Z-number as
 zmodel did before its kernel took constants unpacked once per alpha, and
 cleaned_masses checks a masses dict rule by rule, as MassFunction should.
+similarity_sums, average_bpa and plurality_votes are the baselines that
+decide without Dempster's rule, for tests/test_claims.py.
 """
 
 import math
@@ -191,17 +193,14 @@ IDEAL = TrapezoidalFuzzyNumber(1.0, 1.0, 1.0, 1.0)
 ANTI_IDEAL = TrapezoidalFuzzyNumber(0.0, 0.0, 0.0, 0.0)
 
 
-def reference_decide(matrix, alpha):
-    """decide(matrix, alpha) from the oracles, by the paper's formulas.
+def reference_similarities(matrix, alpha):
+    """Each source's row of similarities, in frame order, by the paper's
+    formulas.
 
     H(f) = w0 * centroid + w1 * height + w2 / (1 + spread) on the length-3
     weights; a Z-number's deviation is the root of the length-2 blend of
     (H(A) - H(ideal))**2 and (H(B) - H(ideal))**2 over that of the
-    anti-ideal, cut back to 1, and its similarity 1 - deviation.  Each
-    source's BPA gives every hypothesis its similarity and the frame
-    1 - max, normalised, and the BPAs are folded left by Dempster's rule.
-    Returns (per-source masses, fused masses, conflict trace, ranking), the
-    masses keyed by frozensets of labels.
+    anti-ideal, cut back to 1, and its similarity 1 - deviation.
     """
     w0, w1, w2 = reference_weights(3, alpha)
     c1, c2 = reference_weights(2, alpha)
@@ -218,10 +217,21 @@ def reference_decide(matrix, alpha):
         deviation = math.sqrt((c1 * da * da + c2 * db * db) / ((c1 + c2) * (hmin - hmax) ** 2))
         return 1.0 - min(deviation, 1.0)
 
+    return [[similarity(z) for z in row] for row in matrix.cells]
+
+
+def reference_decide(matrix, alpha):
+    """decide(matrix, alpha) from the oracles, by the paper's formulas.
+
+    Each source's BPA gives every hypothesis its similarity (as
+    reference_similarities computes it) and the frame 1 - max, normalised,
+    and the BPAs are folded left by Dempster's rule.  Returns (per-source
+    masses, fused masses, conflict trace, ranking), the masses keyed by
+    frozensets of labels.
+    """
     hypotheses = matrix.frame.hypotheses
     bpas = []
-    for row in matrix.cells:
-        sims = [similarity(z) for z in row]
+    for sims in reference_similarities(matrix, alpha):
         residual = 1.0 - max(sims)
         total = sum(sims) + residual
         bpa = {frozenset([h]): s / total for h, s in zip(hypotheses, sims)}
@@ -233,3 +243,28 @@ def reference_decide(matrix, alpha):
         trace.append(conflict)
     ranking = sorted(hypotheses, key=lambda h: -fused.get(frozenset([h]), 0.0))
     return bpas, fused, trace, ranking
+
+
+# Baselines that decide without Dempster's rule, against which the paper's
+# fusion is judged on its own examples; they are checks of the paper, not
+# part of its method.
+
+
+def similarity_sums(matrix, alpha):
+    """Each hypothesis's similarities summed over the sources, by label."""
+    columns = zip(*reference_similarities(matrix, alpha))
+    return {h: math.fsum(column) for h, column in zip(matrix.frame.hypotheses, columns)}
+
+
+def average_bpa(bpas):
+    """The plain mean of mass functions keyed by frozensets, as
+    reference_decide returns them; a set missing from one has mass 0 there."""
+    focal = {s for bpa in bpas for s in bpa}
+    return {s: math.fsum(bpa.get(s, 0.0) for bpa in bpas) / len(bpas) for s in focal}
+
+
+def plurality_votes(matrix, alpha):
+    """Each source's vote: the hypothesis it gives the highest similarity,
+    the first in frame order on a tie."""
+    hypotheses = matrix.frame.hypotheses
+    return tuple(hypotheses[max(range(len(row)), key=row.__getitem__)] for row in reference_similarities(matrix, alpha))

@@ -919,8 +919,15 @@ def integral_grid(rng: random.Random) -> dict:
 
 
 class TestNumericFastCase:
-    """The reader's fast case, for a list of five floats and for one with an
-    int in it, builds the shape the checked path would."""
+    """The reader's fast case, a list of five floats, builds the shape the
+    checked path would; a list with an int in it takes the checked path."""
+
+    def test_one_constructor_call_site(self):
+        # every numeric shape, fast case or checked, is built by one call;
+        # the reader keeps no table of number types beside _number's checks
+        names = [i.argval for i in dis.get_instructions(cli._parse_shape) if i.opname == "LOAD_GLOBAL"]
+        assert names.count("TrapezoidalFuzzyNumber") == 1, "cli._parse_shape builds a shape at more than one call"
+        assert "_NUMBER_TYPES" not in names, "cli._parse_shape scans the entries' types again"
 
     def test_a_cell_takes_no_generic_store_or_star_call(self):
         # a shape and a Z-number store each field through its slot's member
@@ -1561,15 +1568,20 @@ class TestFailureModes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "bad", [True, False, "0.5", None, 10**400], ids=["true", "false", "string", "null", "huge-int"]
+        "bad, message",
+        [
+            (True, "expected a number, got true"),
+            (False, "expected a number, got false"),
+            ("0.5", 'expected a number, got "0.5"'),
+            (None, "expected a number, got null"),
+            (10**400, "number out of float range"),
+        ],
+        ids=["true", "false", "string", "null", "huge-int"],
     )
-    def test_shape_entries_must_be_numbers(self, tmp_path, capsys, bad):
+    def test_shape_entries_must_be_numbers(self, tmp_path, capsys, bad, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(grid({"A": [bad, 0.0, 0.0, 1.0, 1.0]})))
-        code, out, err = run(capsys, "decide", "--input", str(path))
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert "S/a.A" in err
+        assert run(capsys, "decide", "--input", str(path)) == (EXIT_PARSE, "", f"zfuse: S/a.A: {message}\n")
 
     @pytest.mark.parametrize("mode", ["decide", "rank-fuzzy"])
     def test_boolean_alpha(self, tmp_path, capsys, mode):

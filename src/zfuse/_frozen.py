@@ -1,15 +1,18 @@
 """The base of zfuse's immutable value types.
 
-Each public type is a plain class that lists its fields, its constructor's
-arguments, in __match_args__ and writes its own __init__, which checks them
-and stores them with set_field.  The two slotted cell types,
-TrapezoidalFuzzyNumber and ZNumber, which a grid builds for every numeric
-cell, store them through their slots' member descriptors instead, which
-skip set_field's lookup of the name.  A type may keep attributes derived
-from them too, as ReferenceBounds and MassFunction do; those are not
-fields.  Frozen reads that tuple to compare, hash and print instances
-field by field, in the layout a frozen dataclass has, without importing
-dataclasses (which costs more than the rest of zfuse to import).
+Each public type is a plain class that writes its own __init__, which
+checks its fields and stores them with set_field.  The fields are that
+__init__'s positional parameters, in order: Frozen reads their names off
+its code object into __match_args__ when the class is made, so a field
+added to a constructor is compared, hashed and printed with no second list
+to update.  The two slotted cell types, TrapezoidalFuzzyNumber and
+ZNumber, which a grid builds for every numeric cell, store them through
+their slots' member descriptors instead, which skip set_field's lookup of
+the name.  A type may keep attributes derived from them too, as
+ReferenceBounds and MassFunction do; those are not fields.  Frozen reads
+that tuple to compare, hash and print instances field by field, in the
+layout a frozen dataclass has, without importing dataclasses (which costs
+more than the rest of zfuse to import).
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ class Frozen:
 
     __slots__ = ()
 
-    # the field names, in order; every subclass sets them
+    # the field names, in order: read off each subclass's own __init__
     __match_args__: tuple[str, ...]
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
+        # co_varnames starts with the parameters, self first, then the locals
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
         # reads every field in one C call: a tuple, or for one field its value;
         # an attrgetter binds to no instance, so self._key is the getter itself
         cls._key = attrgetter(*cls.__match_args__)

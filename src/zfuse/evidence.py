@@ -40,8 +40,6 @@ class TotalConflictError(ValueError):
 class Frame(Frozen):
     """Ordered, distinct hypothesis labels; subsets are bitmasks over them."""
 
-    __match_args__ = ("hypotheses",)
-
     def __init__(self, hypotheses: Iterable[str]) -> None:
         hypotheses = tuple(hypotheses)
         if not hypotheses:
@@ -103,8 +101,6 @@ class MassFunction(Frozen):
     Any other holds a dict, which the constructor checks with _cleaned in
     one O(F) loop; a dict the library computes skips it.
     """
-
-    __match_args__ = ("frame", "masses")
 
     # (singleton masses in frame order, mass of the frame); set by _unchecked only
     _vector = None
@@ -208,8 +204,6 @@ class CombinationOutcome(Frozen):
     conflict is the k of the final pairwise step; steps holds one k per
     fold step when several functions were combined.  Each k lies in [0, 1].
     """
-
-    __match_args__ = ("combined", "conflict", "steps")
 
     def __init__(self, combined: MassFunction, conflict: float, steps: tuple[float, ...] = ()) -> None:
         set_field(self, "combined", combined)

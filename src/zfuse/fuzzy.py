@@ -17,10 +17,9 @@ _INV_SQRT12 = 1.0 / math.sqrt(12.0)
 class TrapezoidalFuzzyNumber(Frozen):
     """Trapezoid vertices (a, b, c, d) plus plateau height w in (0, 1]."""
 
-    __match_args__ = ("a", "b", "c", "d", "w")
     # _term is not a field: each lexicon shape holds its term index there
     # (zmodel sets it once), every other shape None
-    __slots__ = (*__match_args__, "_term")
+    __slots__ = ("a", "b", "c", "d", "w", "_term")
 
     def __init__(self, a: float, b: float, c: float, d: float, w: float = 1.0) -> None:
         isfinite = math.isfinite

@@ -64,8 +64,6 @@ def dispersion(weights: Iterable[float]) -> float:
 class WeightVector(Frozen):
     """An OWA weight vector tagged with the orness level it was built for."""
 
-    __match_args__ = ("weights", "alpha")
-
     def __init__(self, weights: Iterable[float], alpha: float) -> None:
         weights = tuple(map(float, weights))
         if len(weights) < 2:
@@ -201,11 +199,8 @@ def _complement(alpha: float) -> float:
     coefficient = 10**-exp - digits
     excess = len(str(coefficient)) - _DECIMAL_PRECISION
     if excess > 0:
-        unit = 10**excess
-        coefficient, dropped = divmod(coefficient, unit)
-        if 2 * dropped > unit or (2 * dropped == unit and coefficient % 2):
-            coefficient += 1
-        exp += excess
+        # to a multiple of 10**excess: round on an int is exact and half-even
+        coefficient = round(coefficient, -excess)
     return float(f"{coefficient}e{exp}")
 
 

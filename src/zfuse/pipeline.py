@@ -36,8 +36,6 @@ class AssessmentMatrix(Frozen):
     Rows follow sources, columns follow frame.hypotheses.
     """
 
-    __match_args__ = ("frame", "sources", "cells")
-
     def __init__(
         self, frame: Frame, sources: Iterable[str], cells: Iterable[Iterable[ZNumber]]
     ) -> None:
@@ -76,19 +74,6 @@ class AssessmentMatrix(Frozen):
 
 class DecisionReport(Frozen):
     """Everything the fusion produced, plus the configuration that shaped it."""
-
-    __match_args__ = (
-        "frame",
-        "sources",
-        "per_source_bpas",
-        "fused",
-        "conflict_trace",
-        "ranking",
-        "decision",
-        "alpha",
-        "score_weights",
-        "component_weights",
-    )
 
     def __init__(
         self,

@@ -21,7 +21,7 @@ from .owa import DEFAULT_ALPHA, WeightVector, mem_weights
 class ZNumber(Frozen):
     """Evaluation A constrained by reliability B."""
 
-    __match_args__ = __slots__ = ("A", "B")
+    __slots__ = ("A", "B")
 
     def __init__(self, A: TrapezoidalFuzzyNumber, B: TrapezoidalFuzzyNumber) -> None:
         if not (isinstance(A, TrapezoidalFuzzyNumber) and isinstance(B, TrapezoidalFuzzyNumber)):
@@ -39,8 +39,6 @@ _set_A, _set_B = [ZNumber.__dict__[name].__set__ for name in ZNumber.__slots__]
 
 
 class LinguisticTerm(Frozen):
-    __match_args__ = ("name", "shape")
-
     def __init__(self, name: str, shape: TrapezoidalFuzzyNumber) -> None:
         set_field(self, "name", name)
         set_field(self, "shape", shape)
@@ -175,8 +173,6 @@ class ReferenceBounds(Frozen):
     score_znumber and similarity.
     """
 
-    __match_args__ = ("alpha",)
-
     def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
         score_weights = mem_weights(3, alpha)
         # the ideal and anti-ideal differ only in the centroid factor, so they
@@ -224,8 +220,6 @@ class ZScore(Frozen):
     clamped flags a raw deviation beyond 1 (possible for shapes far outside
     the unit interval) that was cut back to the nominal range.
     """
-
-    __match_args__ = ("hA", "hB", "deviation", "similarity", "clamped")
 
     def __init__(self, hA: float, hB: float, deviation: float, similarity: float, clamped: bool = False) -> None:
         set_field(self, "hA", hA)

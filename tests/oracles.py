@@ -10,13 +10,15 @@ rational arithmetic.  reference_score scores a Z-number as
 zmodel did before its kernel took constants unpacked once per alpha, and
 cleaned_masses checks a masses dict rule by rule, as MassFunction should.
 similarity_sums, average_bpa and plurality_votes are the baselines that
-decide without Dempster's rule, for tests/test_claims.py.
+decide without Dempster's rule, and kang_conversion the standard
+conversion of a Z-number that the paper's handling is set against, for
+tests/test_claims.py.
 """
 
 import math
 from fractions import Fraction
 
-from zfuse import owa
+from zfuse import LEXICON, AssessmentMatrix, ZNumber, owa
 from zfuse.fuzzy import TrapezoidalFuzzyNumber, centroid, membership, spread
 from zfuse.owa import _complement, orness
 
@@ -67,6 +69,12 @@ def quadrature_centroid(f):
         area += simpson(lambda x: membership(g, x), lo, hi)
         moment += simpson(lambda x: x * membership(g, x), lo, hi)
     return float(moment / area)
+
+
+def point_or_quadrature_centroid(f):
+    """quadrature_centroid, except that a point number, which has no area,
+    has its one vertex as centroid."""
+    return f.a if f.a == f.d else quadrature_centroid(f)
 
 
 def vertex_std(vertices):
@@ -206,9 +214,7 @@ def reference_similarities(matrix, alpha):
     c1, c2 = reference_weights(2, alpha)
 
     def score(f):
-        # a point number has no area; its centroid is its one vertex
-        x = f.a if f.a == f.d else quadrature_centroid(f)
-        return w0 * x + w1 * f.w + w2 / (1.0 + vertex_std((f.a, f.b, f.c, f.d)))
+        return w0 * point_or_quadrature_centroid(f) + w1 * f.w + w2 / (1.0 + vertex_std((f.a, f.b, f.c, f.d)))
 
     hmax, hmin = score(IDEAL), score(ANTI_IDEAL)
 
@@ -268,3 +274,21 @@ def plurality_votes(matrix, alpha):
     the first in frame order on a tie."""
     hypotheses = matrix.frame.hypotheses
     return tuple(hypotheses[max(range(len(row)), key=row.__getitem__)] for row in reference_similarities(matrix, alpha))
+
+
+def kang_conversion(matrix):
+    """The grid with each Z = (A, B) turned into a plain fuzzy number by Kang
+    et al.'s conversion, held with full reliability: A's vertices scaled by
+    the square root of B's centroid, its height kept, and B Absolutely-high.
+
+    B. Kang, D. Wei, Y. Li, Y. Deng, "A method of converting Z-number to
+    classical fuzzy number", Journal of Information & Computational Science
+    9, 2012.
+    """
+
+    def converted(z):
+        scale = math.sqrt(point_or_quadrature_centroid(z.B))
+        a = z.A
+        return ZNumber(TrapezoidalFuzzyNumber(scale * a.a, scale * a.b, scale * a.c, scale * a.d, a.w), LEXICON[-1].shape)
+
+    return AssessmentMatrix(matrix.frame, matrix.sources, [[converted(z) for z in row] for row in matrix.cells])

@@ -6,6 +6,7 @@ frozen dataclass; the repr strings below are pinned to that layout.
 
 import base64
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -338,3 +339,75 @@ def test_only_a_type_with_a_dict_loads_a_dict_state(name):
         twin = cls.__new__(cls)
         twin.__setstate__(state)
         assert twin == x and repr(twin) == repr(x)
+
+
+# name: the fields, in order, that each type listed in __match_args__ by hand
+# before Frozen read them off its __init__
+FIELDS = {
+    "TrapezoidalFuzzyNumber": ("a", "b", "c", "d", "w"),
+    "WeightVector": ("weights", "alpha"),
+    "ZNumber": ("A", "B"),
+    "LinguisticTerm": ("name", "shape"),
+    "ReferenceBounds": ("alpha",),
+    "ZScore": ("hA", "hB", "deviation", "similarity", "clamped"),
+    "Frame": ("hypotheses",),
+    "MassFunction": ("frame", "masses"),
+    "CombinationOutcome": ("combined", "conflict", "steps"),
+    "AssessmentMatrix": ("frame", "sources", "cells"),
+    "DecisionReport": (
+        "frame",
+        "sources",
+        "per_source_bpas",
+        "fused",
+        "conflict_trace",
+        "ranking",
+        "decision",
+        "alpha",
+        "score_weights",
+        "component_weights",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", frozen_types())
+def test_fields_are_the_positional_parameters_of_init(name):
+    cls = frozen_types()[name]
+    positional = [
+        p.name
+        for p in inspect.signature(cls.__init__).parameters.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    assert cls.__match_args__ == FIELDS[name] == tuple(positional[1:])
+
+
+def fields_by_match(x):
+    """x's fields, bound in order by a positional class pattern."""
+    match x:
+        case TrapezoidalFuzzyNumber(a, b, c, d, w):
+            return a, b, c, d, w
+        case WeightVector(weights, alpha):
+            return weights, alpha
+        case ZNumber(A, B):
+            return A, B
+        case LinguisticTerm(name, shape):
+            return name, shape
+        case ReferenceBounds(alpha):
+            return (alpha,)
+        case ZScore(hA, hB, deviation, similarity, clamped):
+            return hA, hB, deviation, similarity, clamped
+        case Frame(hypotheses):
+            return (hypotheses,)
+        case MassFunction(frame, masses):
+            return frame, masses
+        case CombinationOutcome(combined, conflict, steps):
+            return combined, conflict, steps
+        case AssessmentMatrix(frame, sources, cells):
+            return frame, sources, cells
+        case DecisionReport(frame, sources, bpas, fused, trace, ranking, decision, alpha, scores, components):
+            return frame, sources, bpas, fused, trace, ranking, decision, alpha, scores, components
+
+
+@pytest.mark.parametrize("name", frozen_types())
+def test_a_positional_match_binds_the_fields_in_order(name):
+    make, values, _ = CASES[name]
+    assert fields_by_match(make()) == values
